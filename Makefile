@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench verify chaos tm figs serve fleet clean
+.PHONY: all build test race bench verify chaos tm figs serve clean
 
 all: build test
 
@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/trace/... ./internal/service/... ./internal/store/... ./internal/fleet/...
+	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/service/... ./internal/store/...
 
 # bench renders every figure once (-benchtime=1x) plus the event-kernel
 # microbenchmarks, gates against the committed BENCH_kernel.json (>15%
@@ -54,13 +54,6 @@ figs:
 # see DESIGN.md §11 and README "Running as a service".
 serve:
 	$(GO) run ./cmd/misar-served -addr :8091 -store misar-store
-
-# fleet runs the fault-tolerance suite under the race detector: ring,
-# membership, and peer-store units, then the multi-process kill-a-node
-# stress and the overload-degradation check; see DESIGN.md §15.
-fleet:
-	$(GO) test -race -v ./internal/fleet ./internal/service/client
-	FLEET_TRACE_OUT=/tmp/failover-trace.json $(GO) test -race -count=1 -v ./internal/fleet -run 'TestFleetKillANodeStress'
 
 clean:
 	rm -f CHAOS.json CHAOS_broken.json CHAOS_tm.json CHAOS_tm_broken.json cert.json

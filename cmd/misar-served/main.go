@@ -17,17 +17,14 @@
 // depth / in-flight / store hit-rate, structured JSON logs go to stderr
 // (-log), and /debug/pprof/ serves live profiles and runtime traces.
 //
+// Overload (DESIGN.md §11): a full queue answers 429 with a Retry-After
+// derived from the recent drain rate; batch-priority jobs are shed at half
+// occupancy and each tenant may hold a quarter of the queue, so interactive
+// work keeps a slot.
+//
 // On SIGINT/SIGTERM the server drains: admission stops (503), accepted jobs
 // finish and persist, then the process exits 0. A second signal — or an
 // expired -drain-timeout — hard-cancels the remaining jobs and exits 1.
-//
-// Fleet mode (DESIGN.md §15): pass -peers with the other nodes' base URLs
-// and -self with this node's advertised URL to join N servers into one
-// resilient service — consistent-hash job routing, peer store fetch, result
-// replication, and health-checked failover:
-//
-//	misar-served -addr :8091 -self http://127.0.0.1:8091 \
-//	    -peers http://127.0.0.1:8092,http://127.0.0.1:8093
 package main
 
 import (
@@ -39,14 +36,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"misar/internal/fleet"
-	"misar/internal/harness"
 	"misar/internal/service"
-	"misar/internal/store"
 )
 
 func main() {
@@ -59,48 +52,11 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "graceful drain deadline on SIGTERM")
 	logReq := flag.Bool("log", true, "structured request/job logging (JSON lines on stderr, tagged with trace IDs)")
 	sampleInterval := flag.Duration("sample-interval", 5*time.Second, "live-telemetry sampling cadence (/v1/timeseries)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs; enables fleet mode")
-	self := flag.String("self", "", "this node's advertised base URL (fleet mode; e.g. http://127.0.0.1:8091)")
-	replicas := flag.Int("replicas", 2, "fleet replication factor, owner included")
-	probeInterval := flag.Duration("probe-interval", time.Second, "fleet peer health-probe cadence")
 	flag.Parse()
 
 	var logger *slog.Logger
 	if *logReq {
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-
-	// Fleet membership is built before the service so the service's store
-	// can be wrapped with peer fetch/replication at construction time.
-	var mem *fleet.Membership
-	var ps *fleet.PeerStore
-	var wrapStore func(*store.Store) harness.ResultStore
-	if *peers != "" {
-		if *self == "" {
-			fmt.Fprintln(os.Stderr, "misar-served: -peers requires -self (this node's advertised URL)")
-			os.Exit(1)
-		}
-		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "misar-served: fleet mode requires a persistent store (-store)")
-			os.Exit(1)
-		}
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		mem = fleet.NewMembership(*self, peerList, fleet.MembershipOptions{
-			ProbeInterval: *probeInterval,
-			Logger:        logger,
-		})
-		wrapStore = func(st *store.Store) harness.ResultStore {
-			ps = fleet.NewPeerStore(st, mem, fleet.PeerStoreOptions{
-				Replicas: *replicas,
-				Logger:   logger,
-			})
-			return ps
-		}
 	}
 
 	s, err := service.New(service.Options{
@@ -111,24 +67,15 @@ func main() {
 		DefaultTimeout: *jobTimeout,
 		Logger:         logger,
 		SampleInterval: *sampleInterval,
-		WrapStore:      wrapStore,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "misar-served:", err)
 		os.Exit(1)
 	}
 
-	handler := s.Handler()
-	if mem != nil {
-		node := fleet.NewNode(s, mem, ps, fleet.NodeOptions{Logger: logger})
-		handler = node.Handler()
-		mem.Start()
-		defer mem.Stop()
-	}
-
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errc := make(chan error, 1)
@@ -139,9 +86,6 @@ func main() {
 		storeDesc = "(memory only)"
 	}
 	fmt.Printf("misar-served: listening on %s (queue %d, store %s)\n", *addr, *queue, storeDesc)
-	if mem != nil {
-		fmt.Printf("misar-served: fleet mode, self %s, %d peer(s)\n", mem.Self(), len(mem.AlivePeers()))
-	}
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -163,9 +107,6 @@ func main() {
 	if drainErr != nil {
 		fmt.Fprintln(os.Stderr, "misar-served:", drainErr)
 		s.Close() // hard-cancel whatever is left
-	}
-	if ps != nil {
-		ps.Wait() // let in-flight result replications land on peers
 	}
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()

@@ -22,8 +22,10 @@ func New(n int) Set {
 	return make(Set, (n+63)/64)
 }
 
-// Add inserts i. Adding past the construction capacity panics — in this
-// machine that is always a tile index exceeding the configured tile count.
+// Add inserts i. Capacity is rounded up to whole 64-bit words, so an index
+// past the construction capacity but inside the last word is stored (New(65)
+// accepts Add(100)); only an index past the last word panics. Callers keep
+// indices below the configured tile count.
 func (s Set) Add(i int) { s[i>>6] |= 1 << uint(i&63) }
 
 // Remove deletes i if present.

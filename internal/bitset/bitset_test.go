@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -91,38 +92,89 @@ func TestForEachOrder(t *testing.T) {
 	}
 }
 
-// TestAgainstReference fuzzes the set against a map at the 1024-tile scale
-// the sharded machine needs.
+// TestAgainstReference fuzzes the set against a map oracle at capacities
+// on both sides of every word boundary, up to the 1024-tile scale the
+// sharded machine needs. At each checkpoint it compares Has, Count, ForEach
+// and Next (from every start, including past the last word) and checks that
+// a Clone is independent of its original in both directions.
 func TestAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := New(1024)
-	ref := map[int]bool{}
-	for step := 0; step < 20000; step++ {
-		i := rng.Intn(1024)
-		if rng.Intn(2) == 0 {
-			s.Add(i)
-			ref[i] = true
-		} else {
-			s.Remove(i)
-			delete(ref, i)
-		}
+	for _, capacity := range []int{63, 64, 65, 127, 128, 1024} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			s := New(capacity)
+			ref := map[int]bool{}
+			for step := 1; step <= 20*capacity; step++ {
+				i := rng.Intn(capacity)
+				if rng.Intn(2) == 0 {
+					s.Add(i)
+					ref[i] = true
+				} else {
+					s.Remove(i)
+					delete(ref, i)
+				}
+				if step%(2*capacity) == 0 {
+					checkAgainst(t, s, ref, capacity)
+					checkCloneIndependent(t, s, ref, capacity, rng.Intn(capacity))
+				}
+			}
+		})
 	}
+}
+
+func checkAgainst(t *testing.T, s Set, ref map[int]bool, capacity int) {
+	t.Helper()
 	if s.Count() != len(ref) {
 		t.Fatalf("count %d, reference %d", s.Count(), len(ref))
 	}
-	for i := 0; i < 1024; i++ {
+	for i := -1; i <= capacity; i++ {
 		if s.Has(i) != ref[i] {
 			t.Fatalf("membership of %d diverged", i)
 		}
 	}
-	n := 0
+	prev, n := -1, 0
 	s.ForEach(func(i int) {
 		n++
-		if !ref[i] {
-			t.Fatalf("ForEach visited non-member %d", i)
+		if !ref[i] || i <= prev {
+			t.Fatalf("ForEach visited %d after %d: not a member or out of order", i, prev)
 		}
+		prev = i
 	})
 	if n != len(ref) {
 		t.Fatalf("ForEach visited %d, want %d", n, len(ref))
 	}
+	want := -1
+	for from := 64*len(s) + 1; from >= -1; from-- {
+		if ref[from] {
+			want = from
+		}
+		if got := s.Next(from); got != want {
+			t.Fatalf("Next(%d) = %d, want %d", from, got, want)
+		}
+	}
+}
+
+// checkCloneIndependent toggles member i in a clone and then in the
+// original, checking that neither change shows through the other, and that
+// the restored clone still matches the oracle.
+func checkCloneIndependent(t *testing.T, s Set, ref map[int]bool, capacity, i int) {
+	t.Helper()
+	c := s.Clone()
+	toggle := func(x Set) {
+		if x.Has(i) {
+			x.Remove(i)
+		} else {
+			x.Add(i)
+		}
+	}
+	toggle(c)
+	if s.Has(i) != ref[i] {
+		t.Fatalf("changing %d in the clone changed the original", i)
+	}
+	toggle(c)
+	toggle(s)
+	if c.Has(i) != ref[i] {
+		t.Fatalf("changing %d in the original changed the clone", i)
+	}
+	toggle(s)
+	checkAgainst(t, c, ref, capacity)
 }

@@ -70,13 +70,13 @@ func (o Options) appList() ([]workload.App, error) {
 // ShardTransform returns a config transform (see Runner.SetConfigTransform)
 // that runs every compatible simulation on the conservative parallel kernel
 // with the given shard count. Configurations the sharded kernel rejects —
-// Ideal mode's zero-latency sync tables, route-at-injection, fault plans,
-// meshes whose height the shard count does not divide — fall back to the
-// serial kernel, so a whole figure sweep can be flipped with one call and
-// still render. Each shard count is a deterministic pure function of the
-// configuration, pinned by its own golden file; it is NOT guaranteed to be
-// cycle-identical to the serial kernel under same-cycle contention — see
-// DESIGN.md §14 and TestShardedFigureDivergencePinned for the rationale.
+// Ideal mode's zero-latency sync tables, fault plans, meshes whose height
+// the shard count does not divide — fall back to the serial kernel, so a
+// whole figure sweep can be flipped with one call and still render. Each
+// shard count is a deterministic pure function of the configuration, pinned
+// by its own golden file; it is NOT guaranteed to be cycle-identical to the
+// serial kernel under same-cycle contention — see DESIGN.md §14 and
+// TestShardedFigureDivergencePinned for the rationale.
 func ShardTransform(shards int) func(machine.Config) machine.Config {
 	return func(c machine.Config) machine.Config {
 		sharded := c

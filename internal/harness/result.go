@@ -86,7 +86,7 @@ func (r *Run) applyResult(res *Result) {
 	}
 }
 
-// StoreKey builds the canonical cross-process identity of one simulation.
+// storeKey builds the canonical cross-process identity of one simulation.
 // Unlike the in-memory runKey (a %+v fingerprint that only needs to be
 // stable within one process), the store key must survive process restarts
 // and version skew, so the config goes through its canonical JSON encoding.
@@ -94,11 +94,7 @@ func (r *Run) applyResult(res *Result) {
 // tight chaos budget is not the same experiment as one under RunDeadline.
 // An unmarshalable config (impossible today; Config is a pure value struct)
 // returns "" and the run simply bypasses the store.
-//
-// Exported because store.Fingerprint(StoreKey(...)) is also the fleet's
-// consistent-hash routing key (service.RequestFingerprint): routing and
-// storage must agree on identity, so both derive it here.
-func StoreKey(kind string, cfg machine.Config, lib *syncrt.Lib, budget sim.Time) string {
+func storeKey(kind string, cfg machine.Config, lib *syncrt.Lib, budget sim.Time) string {
 	cb, err := json.Marshal(cfg)
 	if err != nil {
 		return ""
@@ -109,7 +105,7 @@ func StoreKey(kind string, cfg machine.Config, lib *syncrt.Lib, budget sim.Time)
 // tryStore attempts to satisfy run from the persistent store. Records that
 // fail to decode or carry the wrong schema/kind are ignored (the next Put
 // overwrites them); store-level corruption is already evicted by Get.
-func (r *Runner) tryStore(ctx context.Context, st ResultStore, skey string, run *Run) bool {
+func (r *Runner) tryStore(ctx context.Context, st *store.Store, skey string, run *Run) bool {
 	blob, ok := st.GetCtx(ctx, store.Fingerprint(skey))
 	if !ok {
 		return false
@@ -126,10 +122,10 @@ func (r *Runner) tryStore(ctx context.Context, st ResultStore, skey string, run 
 // putStore persists a successful run. Store write failures (disk full,
 // permissions) are deliberately non-fatal: the result is still served from
 // memory; only warmth is lost.
-func (r *Runner) putStore(ctx context.Context, st ResultStore, skey string, run *Run) {
+func (r *Runner) putStore(st *store.Store, skey string, run *Run) {
 	blob, err := json.Marshal(run.buildResult())
 	if err != nil {
 		return
 	}
-	st.PutCtx(ctx, store.Fingerprint(skey), blob)
+	st.Put(store.Fingerprint(skey), blob)
 }

@@ -12,6 +12,7 @@ import (
 	"misar/internal/metrics"
 	"misar/internal/obs"
 	"misar/internal/sim"
+	"misar/internal/store"
 	"misar/internal/syncrt"
 	"misar/internal/workload"
 )
@@ -70,14 +71,14 @@ type Runner struct {
 	metrics   bool   // meter every subsequently submitted run
 	transform func(machine.Config) machine.Config
 	progress  func(ProgressEvent)
-	budget    sim.Time    // per-simulation cycle budget; 0 means RunDeadline
-	retries   int         // extra attempts after a failed simulation
-	store     ResultStore // persistent result store; nil means memory-only
-	submitted int         // all submissions, including memo hits
-	unique    int         // distinct simulations started
-	finished  int         // distinct simulations completed
-	executed  int         // simulations actually run (not memo/store hits)
-	storeHits int         // unique submissions satisfied by the store
+	budget    sim.Time     // per-simulation cycle budget; 0 means RunDeadline
+	retries   int          // extra attempts after a failed simulation
+	store     *store.Store // persistent result store; nil means memory-only
+	submitted int          // all submissions, including memo hits
+	unique    int          // distinct simulations started
+	finished  int          // distinct simulations completed
+	executed  int          // simulations actually run (not memo/store hits)
+	storeHits int          // unique submissions satisfied by the store
 }
 
 // runKey identifies one unique simulation. The cfg and lib fields are full
@@ -220,22 +221,12 @@ func (r *Runner) SetBudget(deadline sim.Time) {
 	r.mu.Unlock()
 }
 
-// ResultStore is the runner's view of a persistent result store: a local
-// *store.Store, or a fleet-aware wrapper that falls back to peer fetch on a
-// local miss (internal/fleet.PeerStore). The context carries the run's
-// observability identity (trace ID, span recorder) and bounds any network
-// side of a lookup; implementations must treat every failure as a miss.
-type ResultStore interface {
-	GetCtx(ctx context.Context, fp string) ([]byte, bool)
-	PutCtx(ctx context.Context, fp string, payload []byte) error
-}
-
 // SetStore attaches a persistent result store. Every subsequently submitted
 // unique run first consults the store (a hit is replayed without consuming a
 // worker slot or running a simulation) and every subsequent success is
 // persisted, so warm results are shared across processes and restarts.
 // Failed runs are never stored.
-func (r *Runner) SetStore(st ResultStore) {
+func (r *Runner) SetStore(st *store.Store) {
 	r.mu.Lock()
 	r.store = st
 	r.mu.Unlock()
@@ -470,7 +461,7 @@ func (r *Runner) submit(ctx context.Context, kind string, key runKey, skey strin
 			}
 			<-r.sem
 			if run.err == nil && st != nil && skey != "" {
-				r.putStore(runCtx, st, skey, run)
+				r.putStore(st, skey, run)
 			}
 		}
 		elapsed := time.Since(start)
@@ -526,7 +517,7 @@ func (r *Runner) AppCtx(ctx context.Context, app workload.App, cfg machine.Confi
 		Seed:   cfg.Fault.Seed,
 	}
 	budget := r.runBudget()
-	skey := StoreKey("app:"+app.Name, cfg, lib, budget)
+	skey := storeKey("app:"+app.Name, cfg, lib, budget)
 	return r.submit(ctx, "app", keyFor("app:"+app.Name, cfg, lib), skey, tag, func(ctx context.Context, run *Run) error {
 		m, cycles, err := workload.RunBudgetCtx(ctx, app, cfg, lib, budget)
 		if err != nil {
@@ -568,7 +559,7 @@ func (r *Runner) MicroCtx(ctx context.Context, op string, fn MicroFn, cfg machin
 	// Micro measurements ignore the runner budget, so the store key embeds
 	// a fixed 0 — warm results stay shared across runners with different
 	// app budgets.
-	skey := StoreKey("micro:"+op, cfg, lib, 0)
+	skey := storeKey("micro:"+op, cfg, lib, 0)
 	return r.submit(ctx, "micro", keyFor("micro:"+op, cfg, lib), skey, tag, func(ctx context.Context, run *Run) error {
 		run.micro = fn(cfg, lib)
 		run.report = run.micro.Report

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -47,41 +46,17 @@ func decodeError(resp *http.Response) error {
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		return &APIError{Status: resp.StatusCode, Message: ae.Error, RetryAfter: ra, RetryAfterDuration: parseRetryAfter(ra)}
+		return &APIError{Status: resp.StatusCode, Message: ae.Error, RetryAfter: ra}
 	}
-	return &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body)), RetryAfter: ra, RetryAfterDuration: parseRetryAfter(ra)}
+	return &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body)), RetryAfter: ra}
 }
 
-// parseRetryAfter decodes a Retry-After header: RFC 9110 allows
-// delta-seconds or an HTTP-date. Unparseable or absent values yield 0 —
-// the retry loop falls back to its own backoff.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
-// APIError is a non-2xx response from the server.
+// APIError is a non-2xx response from the server. A 429 carries the
+// server's queue-derived Retry-After, in whole seconds, as the raw header.
 type APIError struct {
 	Status     int
 	Message    string
-	RetryAfter string // the raw Retry-After header, when present (429); kept for compatibility
-	// RetryAfterDuration is the parsed form of RetryAfter (delta-seconds or
-	// HTTP-date); 0 when absent or unparseable. The Fleet retry loop waits
-	// at least this long before the next attempt.
-	RetryAfterDuration time.Duration
+	RetryAfter string // the raw Retry-After header, when present
 }
 
 func (e *APIError) Error() string {
@@ -89,8 +64,8 @@ func (e *APIError) Error() string {
 }
 
 // JobError is a job that ran and failed ("error" terminal event). The
-// simulator is deterministic, so retrying a JobError on another node would
-// reproduce the same failure — the Fleet retry loop treats it as permanent.
+// simulator is deterministic, so resubmitting the same job reproduces the
+// same failure.
 type JobError struct {
 	Job     string
 	Message string

@@ -50,7 +50,7 @@ type JobRequest struct {
 	// Priority classes the job for admission: "interactive" (the default)
 	// may fill the whole queue; "batch" is shed with a fast 429 once the
 	// queue passes half occupancy, so background sweeps degrade before they
-	// can starve interactive work (the overload ladder, DESIGN.md §15).
+	// can starve interactive work (the overload ladder, DESIGN.md §11).
 	Priority string `json:"priority,omitempty"`
 }
 

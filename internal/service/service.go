@@ -78,11 +78,6 @@ type Options struct {
 	// (the job itself is unaffected), so one stalled client can never pin a
 	// handler goroutine forever. <= 0 means 30s.
 	StreamWriteTimeout time.Duration
-	// WrapStore, when set, wraps the opened persistent store before it is
-	// attached to the runner. The fleet layer uses it to interpose peer
-	// fetch and replication (internal/fleet.PeerStore) under the runner's
-	// store lookups without the service knowing about membership.
-	WrapStore func(*store.Store) harness.ResultStore
 }
 
 func (o Options) withDefaults() Options {
@@ -198,11 +193,7 @@ func New(opt Options) (*Server, error) {
 		if opt.Logger != nil {
 			st.SetLogger(opt.Logger)
 		}
-		var rs harness.ResultStore = st
-		if opt.WrapStore != nil {
-			rs = opt.WrapStore(st)
-		}
-		s.runner.SetStore(rs)
+		s.runner.SetStore(st)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealth))
@@ -233,13 +224,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // RunnerStats exposes the underlying runner's counters (tests, ops).
 func (s *Server) RunnerStats() harness.RunnerStats { return s.runner.Stats() }
 
-// Store exposes the persistent store handle (nil when persistence is off).
-// The fleet layer serves GET/PUT /v1/store/{fp} straight off it.
-func (s *Server) Store() *store.Store { return s.store }
-
-// Recorder exposes the server-side span recorder so the fleet layer can
-// record routing hops (fleet/route.forward) into the same timeline the job
-// spans land in.
+// Recorder exposes the server-side span recorder, so an in-process caller
+// can merge the server's spans into its own trace.
 func (s *Server) Recorder() *obs.Recorder { return s.spans }
 
 // StoreStats exposes the persistent store's counters; zero when no store.

@@ -156,12 +156,6 @@ func decode(raw []byte) (payload []byte, reason string) {
 	return payload, ""
 }
 
-// PutCtx is Put with a context for observability symmetry with GetCtx; the
-// write itself never blocks on the context.
-func (s *Store) PutCtx(_ context.Context, fp string, payload []byte) error {
-	return s.Put(fp, payload)
-}
-
 // Put stores payload under fp, atomically: the record is staged in a temp
 // file, fsync'd, and renamed over the final name. Concurrent writers of the
 // same fingerprint are harmless — both write identical bytes (content
