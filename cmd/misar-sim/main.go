@@ -42,7 +42,7 @@ import (
 
 func main() {
 	appName := flag.String("app", "streamcluster", "benchmark name (-list to enumerate)")
-	tiles := flag.Int("tiles", 16, "core count (<= 64)")
+	tiles := flag.Int("tiles", 16, "core count (<= 1024)")
 	config := flag.String("config", "msaomu2", "machine configuration")
 	configFile := flag.String("config-file", "", "load the machine configuration from a JSON file (overrides -config/-tiles)")
 	saveConfig := flag.String("save-config", "", "write the resolved machine configuration to a JSON file and exit")
@@ -136,10 +136,8 @@ func main() {
 
 	start := time.Now()
 	m := machine.New(cfg)
-	var buf *trace.Buffer
 	if *traceOut != "" {
-		buf = trace.NewBuffer(1_000_000)
-		m.AttachTracer(buf)
+		m.ResizeFlight(1_000_000, nil)
 	}
 	arena := syncrt.NewArena(0x1000000)
 	m.SpawnAll(cfg.Tiles, app.Build(arena, cfg.Tiles, lib))
@@ -203,8 +201,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "misar-sim:", err)
 			os.Exit(1)
 		}
-		events := buf.Events()
-		if err := trace.WriteChrome(f, events); err != nil {
+		dump := m.FlightDump()
+		if err := obs.WriteChrome(f, dump.Events); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "misar-sim:", err)
 			os.Exit(1)
@@ -213,7 +211,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "misar-sim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace          wrote %s (%d events, %d dropped)\n", *traceOut, len(events), buf.Dropped)
+		fmt.Printf("trace          wrote %s (%d events, %d dropped)\n",
+			*traceOut, len(dump.Events), dump.Total-uint64(len(dump.Events)))
 	}
 
 	if *verbose {

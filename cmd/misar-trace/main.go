@@ -1,7 +1,11 @@
-// Command misar-trace runs a benchmark with protocol tracing attached and
-// prints the chronological MSA event timeline: requests, grants, aborts,
-// entry lifecycle, silent acquisitions, and the condition-variable
-// MSA-to-MSA handshakes.
+// Command misar-trace prints a chronological protocol timeline: core sync
+// instructions (issue/done, context switches), MSA requests and responses,
+// grants, entry lifecycle, silent acquisitions, the condition-variable
+// MSA-to-MSA handshakes, and the coherence deliveries in between.
+//
+// The timeline is the machine's flight recorder — the same always-on ring
+// that failures dump — enlarged to -buffer events per shard for the run, so
+// a live run and a served flight dump render through one path.
 //
 // Usage:
 //
@@ -21,7 +25,8 @@
 package main
 
 import (
-	"encoding/json"
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,122 +38,110 @@ import (
 	"misar/internal/memory"
 	"misar/internal/obs"
 	"misar/internal/syncrt"
-	"misar/internal/trace"
 	"misar/internal/workload"
 )
 
 func main() {
-	appName := flag.String("app", "fluidanimate", "benchmark name")
-	tiles := flag.Int("tiles", 8, "core count")
-	entries := flag.Int("entries", 2, "MSA entries per slice")
-	capacity := flag.Int("buffer", 100_000, "event buffer capacity")
-	last := flag.Int("last", 100, "print only the last N events (0 = all)")
-	addr := flag.String("addr", "", "filter to one sync address (hex)")
-	format := flag.String("format", "text", "output format: text or chrome (trace-event JSON for Perfetto)")
-	fromFlight := flag.String("from-flight", "", "render a flight-recorder dump (JSON file, or - for stdin) instead of simulating")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit status (2 for bad input,
+// 1 for a failed simulation or write).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("misar-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	appName := fs.String("app", "fluidanimate", "benchmark name")
+	tiles := fs.Int("tiles", 8, "core count")
+	entries := fs.Int("entries", 2, "MSA entries per slice")
+	capacity := fs.Int("buffer", 100_000, "flight ring capacity (events per shard)")
+	last := fs.Int("last", 100, "print only the last N events (0 = all)")
+	addr := fs.String("addr", "", "filter to one sync address (hex)")
+	format := fs.String("format", "text", "output format: text or chrome (trace-event JSON for Perfetto)")
+	fromFlight := fs.String("from-flight", "", "render a flight-recorder dump (JSON file, or - for stdin) instead of simulating")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "misar-trace: "+format+"\n", a...)
+		return code
+	}
 
 	if *format != "text" && *format != "chrome" {
-		fmt.Fprintf(os.Stderr, "misar-trace: unknown -format %q (want text or chrome)\n", *format)
-		os.Exit(2)
+		return fail(2, "unknown -format %q (want text or chrome)", *format)
 	}
 
-	if *fromFlight != "" {
-		if err := renderFlight(*fromFlight, *format, *last); err != nil {
-			fmt.Fprintln(os.Stderr, "misar-trace:", err)
-			os.Exit(2) // bad input, same convention as -app/-addr
-		}
-		return
-	}
-
-	app, ok := workload.ByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "misar-trace: unknown app %q\n", *appName)
-		os.Exit(2)
-	}
-
-	buf := trace.NewBuffer(*capacity)
-	if *addr != "" {
-		v, err := strconv.ParseUint(strings.TrimPrefix(*addr, "0x"), 16, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "misar-trace: bad -addr %q\n", *addr)
-			os.Exit(2)
-		}
-		buf.SetFilter(memory.Addr(v))
-	}
-
-	cfg := machine.MSAOMU(*tiles, *entries)
-	m := machine.New(cfg)
-	m.AttachTracer(buf)
-	arena := syncrt.NewArena(0x1000000)
-	body := app.Build(arena, cfg.Tiles, syncrt.HWLib())
-	m.SpawnAll(cfg.Tiles, body)
-	cycles, err := m.Run(workload.RunDeadline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-trace:", err)
-		os.Exit(1)
-	}
-
-	events := buf.Events()
-	if *format == "chrome" {
-		if err := trace.WriteChrome(os.Stdout, events); err != nil {
-			fmt.Fprintln(os.Stderr, "misar-trace:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("# %s on %s: %d cycles, %d events recorded (%d dropped, %d filtered)\n",
-		app.Name, cfg.Name, cycles, len(events), buf.Dropped, buf.Filtered)
-	printText(events, *last)
-}
-
-// renderFlight decodes a flight-recorder dump and renders it through the
-// same text/chrome paths as a live protocol trace.
-func renderFlight(path, format string, last int) error {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
 	var dump obs.FlightDump
-	if err := json.NewDecoder(r).Decode(&dump); err != nil {
-		return fmt.Errorf("decode flight dump: %w", err)
+	var header string
+	if *fromFlight != "" {
+		r := stdin
+		if *fromFlight != "-" {
+			f, err := os.Open(*fromFlight)
+			if err != nil {
+				return fail(2, "%v", err)
+			}
+			defer f.Close()
+			r = f
+		}
+		var err error
+		if dump, err = obs.ReadFlightDump(r); err != nil {
+			return fail(2, "%v", err) // bad input, same convention as -app/-addr
+		}
+		header = fmt.Sprintf("# flight dump %s: job %s, trace %s, %d of %d total events retained",
+			cmp.Or(dump.Label, "(unlabelled)"), cmp.Or(dump.Job, "-"), cmp.Or(dump.Trace, "-"),
+			len(dump.Events), dump.Total)
+	} else {
+		app, ok := workload.ByName(*appName)
+		if !ok {
+			return fail(2, "unknown app %q", *appName)
+		}
+		var filter *memory.Addr
+		if *addr != "" {
+			v, err := strconv.ParseUint(strings.TrimPrefix(*addr, "0x"), 16, 64)
+			if err != nil {
+				return fail(2, "bad -addr %q", *addr)
+			}
+			a := memory.Addr(v)
+			filter = &a
+		}
+
+		cfg := machine.MSAOMU(*tiles, *entries)
+		m := machine.New(cfg)
+		m.ResizeFlight(*capacity, filter)
+		arena := syncrt.NewArena(0x1000000)
+		m.SpawnAll(cfg.Tiles, app.Build(arena, cfg.Tiles, syncrt.HWLib()))
+		cycles, err := m.Run(workload.RunDeadline)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		dump = m.FlightDump()
+		header = fmt.Sprintf("# %s on %s: %d cycles, %d events recorded (%d dropped, %d filtered)",
+			app.Name, cfg.Name, cycles, len(dump.Events), dump.Total-uint64(len(dump.Events)), dump.Filtered)
 	}
-	if dump.Schema != "" && dump.Schema != obs.FlightDumpSchema {
-		return fmt.Errorf("unknown flight dump schema %q (want %q)", dump.Schema, obs.FlightDumpSchema)
+	if err := render(stdout, *format, header, dump.Events, *last); err != nil {
+		return fail(1, "%v", err)
 	}
-	events := obs.TraceEvents(dump.Events)
+	return 0
+}
+
+// render writes a timeline as Chrome trace-event JSON, or as text: the
+// header line, then the last N events one per line.
+func render(w io.Writer, format, header string, events []obs.FlightEvent, last int) error {
 	if format == "chrome" {
-		return trace.WriteChrome(os.Stdout, events)
+		return obs.WriteChrome(w, events)
 	}
-	label := dump.Label
-	if label == "" {
-		label = "(unlabelled)"
-	}
-	fmt.Printf("# flight dump %s: job %s, trace %s, %d of %d total events retained\n",
-		label, orDash(dump.Job), orDash(dump.Trace), len(dump.Events), dump.Total)
-	printText(events, last)
-	return nil
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
-}
-
-func printText(events []trace.Event, last int) {
-	fmt.Printf("# %10s  %-7s %-8s %-8s %-11s detail\n", "cycle", "tile", "kind", "core", "addr")
+	fmt.Fprintln(w, header)
+	fmt.Fprintf(w, "# %10s  %-7s %-9s %-8s %-11s detail\n", "cycle", "tile", "kind", "core", "addr")
 	if last > 0 && len(events) > last {
-		fmt.Printf("# ... %d earlier events elided (use -last 0 for all)\n", len(events)-last)
+		fmt.Fprintf(w, "# ... %d earlier events elided (use -last 0 for all)\n", len(events)-last)
 		events = events[len(events)-last:]
 	}
 	for _, ev := range events {
-		fmt.Println(ev)
+		if _, err := fmt.Fprintln(w, ev); err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package misar_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -24,8 +26,7 @@ func TestBloomConfigThroughFacade(t *testing.T) {
 
 func TestTracerThroughFacade(t *testing.T) {
 	m := misar.New(misar.MSAOMU(4, 2))
-	buf := misar.NewTraceBuffer(10_000)
-	m.AttachTracer(buf)
+	m.ResizeFlight(10_000, nil)
 	arena := misar.NewArena(0x100000)
 	lock := arena.Mutex()
 	lib := misar.HWLib()
@@ -39,21 +40,29 @@ func TestTracerThroughFacade(t *testing.T) {
 	if _, err := m.Run(misar.RunDeadline); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
+	events := m.FlightEvents()
+	if len(events) == 0 {
+		t.Fatal("flight trace recorded nothing")
 	}
-	// The timeline must contain the lock request and its response.
-	var sawReq, sawResp bool
-	for _, ev := range buf.Events() {
-		switch string(ev.Kind) {
-		case "req":
-			sawReq = true
-		case "resp":
-			sawResp = true
+	// The timeline must contain the core's LOCK instruction, its request at
+	// the home slice, and the response completing it.
+	saw := map[string]bool{}
+	for _, ev := range events {
+		if ev.Addr == lock.Addr {
+			saw[ev.Kind.String()] = true
 		}
 	}
-	if !sawReq || !sawResp {
-		t.Fatalf("timeline incomplete: req=%v resp=%v", sawReq, sawResp)
+	for _, kind := range []string{"issue", "msa-req", "msa-resp", "done"} {
+		if !saw[kind] {
+			t.Errorf("timeline for the lock has no %q event (saw %v)", kind, saw)
+		}
+	}
+	var out bytes.Buffer
+	if err := misar.WriteChromeTrace(&out, events); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(out.Bytes()) {
+		t.Fatal("Chrome trace is not valid JSON")
 	}
 }
 

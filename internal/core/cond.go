@@ -7,11 +7,10 @@ import (
 	"misar/internal/isa"
 	"misar/internal/memory"
 	"misar/internal/obs"
-	"misar/internal/trace"
 )
 
-// msaMsgNames decodes msaMsgKind for the protocol tracer and the flight
-// recorder (registered so obs can render FMsaMsg args without importing core).
+// msaMsgNames decodes msaMsgKind for the flight recorder (registered so obs
+// can render FMsaMsg args without importing core).
 var msaMsgNames = [...]string{"unlock&pin", "unlock&pin-resp", "lock-behalf", "unpin", "omu-adjust"}
 
 func init() { obs.RegisterArgNames(obs.FMsaMsg, msaMsgNames[:]) }
@@ -136,9 +135,6 @@ func (s *Slice) suspendCondWaiter(e *entry, c int) {
 // HandleMsa processes an MSA-to-MSA message.
 func (s *Slice) HandleMsa(m *MsaMsg) {
 	s.fl(obs.FMsaMsg, m.Lock, m.Core, uint32(m.Kind))
-	if s.tracer != nil {
-		s.trace(trace.MsaInternal, m.Lock, m.Core, msaMsgNames[m.Kind])
-	}
 	switch m.Kind {
 	case kindUnlockPin:
 		s.handleUnlockPin(m)

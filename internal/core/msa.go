@@ -11,7 +11,6 @@ import (
 	"misar/internal/metrics"
 	"misar/internal/obs"
 	"misar/internal/sim"
-	"misar/internal/trace"
 )
 
 // Config selects the accelerator variant under evaluation.
@@ -180,7 +179,6 @@ type Slice struct {
 	nbtc    int    // next-bit-to-check fairness register (one per slice)
 	tick    uint64 // op counter for LRU standby reclaim
 	stats   Stats
-	tracer  *trace.Buffer // nil unless protocol tracing is attached
 	flight  *obs.FlightRecorder
 
 	// inj/check are the fault-injection and safety-invariant hooks. Both
@@ -211,13 +209,10 @@ type sliceMetrics struct {
 	grants, revokes      *metrics.Counter
 }
 
-// SetTracer attaches a protocol-event recorder (nil detaches).
-func (s *Slice) SetTracer(b *trace.Buffer) { s.tracer = b }
-
 // SetFlight attaches the machine's always-on flight recorder (nil detaches).
-// Unlike the tracer — opt-in, unbounded, rich — the flight ring is fixed-size
-// and allocation-free, so it stays attached on every run and its tail is
-// dumped into liveness/safety/panic errors.
+// The ring is fixed-size and allocation-free, so it stays attached on every
+// run: its tail is dumped into liveness/safety/panic errors, and an enlarged
+// ring is the protocol trace (cmd/misar-trace).
 func (s *Slice) SetFlight(f *obs.FlightRecorder) { s.flight = f }
 
 // SetInjector attaches the fault injector (nil detaches).
@@ -255,27 +250,13 @@ func (s *Slice) SetMetrics(reg *metrics.Registry) {
 	s.swActive = make(map[memory.Addr]int)
 }
 
-// fl records one flight-ring event. The guard keeps detached slices (unit
-// tests building a bare Slice) at one comparison; attached recording is a
-// single ring-slot store (obs.FlightRecorder.Record), no allocations.
+// fl records one flight-ring event: a single ring-slot store
+// (obs.FlightRecorder.Record), no allocations; a detached slice (nil ring)
+// records nothing.
 func (s *Slice) fl(kind obs.FlightKind, addr memory.Addr, core int, arg uint32) {
-	if s.flight == nil {
-		return
-	}
 	s.flight.Record(obs.FlightEvent{
 		At: s.engine.Now(), Kind: kind, Tile: int16(s.tile),
 		Core: int16(core), Addr: addr, Arg: arg,
-	})
-}
-
-// trace records a protocol event when tracing is attached.
-func (s *Slice) trace(kind trace.Kind, addr memory.Addr, core int, detail string) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Record(trace.Event{
-		At: s.engine.Now(), Tile: s.tile, Kind: kind,
-		Addr: addr, Core: core, Detail: detail,
 	})
 }
 
@@ -365,8 +346,7 @@ func (s *Slice) tryAllocate(typ isa.SyncType, addr memory.Addr) *entry {
 	if s.cfg.OMUEnabled && s.inj.ForceSteer() {
 		s.stats.OMUSteers++
 		s.met.omuSteers.Inc()
-		s.fl(obs.FSteer, addr, -1, uint32(typ))
-		s.trace(trace.Steer, addr, -1, "forced steer (fault)")
+		s.fl(obs.FSteer, addr, -1, uint32(typ)|obs.SteerForced)
 		return nil
 	}
 	e := s.boundEntry(typ, addr)
@@ -394,7 +374,6 @@ func (s *Slice) tryAllocate(typ isa.SyncType, addr memory.Addr) *entry {
 	*e = entry{valid: true, typ: typ, addr: addr, owner: -1, standbyCore: -1, pinCore: -1,
 		lastUse: s.tick, waiters: e.waiters}
 	s.fl(obs.FAlloc, addr, -1, uint32(typ))
-	s.trace(trace.EntryAlloc, addr, -1, typ.String())
 	// Invariant: no thread may be active in the software path of addr while
 	// an MSA entry goes live for it (OMU exclusivity, PAPER.md §3.2).
 	s.check.HWAlloc(addr)
@@ -477,21 +456,22 @@ func (s *Slice) dealloc(e *entry) {
 	s.stats.Deallocs++
 	s.met.deallocs.Inc()
 	s.fl(obs.FFree, e.addr, -1, uint32(e.typ))
-	s.trace(trace.EntryFree, e.addr, -1, e.typ.String())
 	e.valid = false
 }
 
 func (s *Slice) respond(core int, op isa.SyncOp, addr memory.Addr, res isa.Result, reason AbortReason) {
-	if res == isa.Abort {
+	s.reply(Resp{Op: op, Addr: addr, Core: core, Result: res, Reason: reason})
+}
+
+// reply is the one slice-to-core response path: it counts aborts and
+// records the FMsaResp flight event before handing r to send.
+func (s *Slice) reply(r Resp) {
+	if r.Result == isa.Abort {
 		s.stats.Aborts++
 		s.met.aborts.Inc()
-		s.trace(trace.Abort, addr, core, op.String())
 	}
-	if s.tracer != nil { // guard: the detail concat allocates
-		s.trace(trace.SyncResp, addr, core, op.String()+" "+res.String())
-	}
-	s.fl(obs.FMsaResp, addr, core, uint32(op)<<8|uint32(res))
-	s.send(core, s.respPool.Get(Resp{Op: op, Addr: addr, Core: core, Result: res, Reason: reason}))
+	s.fl(obs.FMsaResp, r.Addr, r.Core, uint32(r.Op)<<8|uint32(r.Result))
+	s.send(r.Core, s.respPool.Get(r))
 }
 
 // delayedResp carries a held-back acknowledgment (fault path only; the
@@ -555,7 +535,6 @@ func (s *Slice) HandleReq(r *Req) {
 	}
 	s.lastReq = s.engine.Now()
 	s.fl(obs.FMsaReq, r.Addr, r.Core, uint32(r.Op))
-	s.trace(trace.SyncReq, r.Addr, r.Core, r.Op.String())
 	// Fault site: spurious un-steer — run a standby-reclaim sweep with no
 	// capacity pressure, revoking a silent holder's re-acquire privilege.
 	if s.inj.ForceEvict() {
@@ -594,7 +573,6 @@ func (s *Slice) handleLock(r *Req) {
 		if e == nil {
 			s.stats.LockSW++
 			s.omuInc(r.Addr)
-			s.trace(trace.Steer, r.Addr, r.Core, "lock to software")
 			s.respond(r.Core, isa.OpLock, r.Addr, isa.Fail, ReasonNone)
 			return
 		}
@@ -635,7 +613,6 @@ func (s *Slice) enqueueLocker(e *entry, core int, respOp isa.SyncOp, respAddr me
 			s.stats.Revokes++
 			s.met.revokes.Inc()
 			s.fl(obs.FRevoke, e.addr, e.standbyCore, 0)
-			s.trace(trace.Revoke, e.addr, e.standbyCore, "revoke before grant")
 			s.dir.Revoke(memory.LineOf(e.addr), func() { s.afterRevoke(e) })
 			return
 		}
@@ -697,7 +674,6 @@ func (s *Slice) startReclaim(except *entry) {
 	s.stats.Revokes++
 	s.met.revokes.Inc()
 	s.fl(obs.FReclaim, victim.addr, victim.standbyCore, uint32(victim.typ))
-	s.trace(trace.EntryRecl, victim.addr, victim.standbyCore, "reclaim start")
 	s.dir.Revoke(memory.LineOf(victim.addr), func() { s.afterRevoke(victim) })
 }
 
@@ -744,7 +720,6 @@ func (s *Slice) promote(e *entry) {
 		s.stats.Grants++
 		s.met.grants.Inc()
 		s.fl(obs.FGrant, e.addr, next, 0)
-		s.trace(trace.Grant, e.addr, next, "block grant")
 		s.dir.GrantExclusive(memory.LineOf(e.addr), next, func() {
 			e.grantsOut--
 			if e.draining && e.grantsOut == 0 && !e.revoking {
@@ -777,8 +752,8 @@ func (s *Slice) handleUnlock(r *Req) {
 		// On a handoff the unlocker must drop its HWSync bit: the lock is
 		// about to belong to someone else, so a silent re-acquire from the
 		// stale bit would break mutual exclusion.
-		s.send(r.Core, s.respPool.Get(Resp{Op: isa.OpUnlock, Addr: r.Addr, Core: r.Core,
-			Result: isa.Success, ClearHWSync: handoff}))
+		s.reply(Resp{Op: isa.OpUnlock, Addr: r.Addr, Core: r.Core,
+			Result: isa.Success, ClearHWSync: handoff})
 		if handoff {
 			s.promote(e)
 		} else {
@@ -790,8 +765,8 @@ func (s *Slice) handleUnlock(r *Req) {
 	// migrated (§4.1.2). Reply SUCCESS to the unlocker, ABORT every waiter
 	// to the software path, charge the OMU for each, and tear down.
 	s.check.LockReleased(r.Addr, fault.WorldHW)
-	s.send(r.Core, s.respPool.Get(Resp{Op: isa.OpUnlock, Addr: r.Addr, Core: r.Core,
-		Result: isa.Success, ClearHWSync: true}))
+	s.reply(Resp{Op: isa.OpUnlock, Addr: r.Addr, Core: r.Core,
+		Result: isa.Success, ClearHWSync: true})
 	s.abortLockEntry(e)
 }
 
@@ -851,7 +826,6 @@ func (s *Slice) maybeRetire(e *entry) {
 		e.standby = true
 		s.met.standbys.Inc()
 		s.fl(obs.FStandby, e.addr, e.standbyCore, uint32(e.typ))
-		s.trace(trace.EntryStand, e.addr, e.standbyCore, "standby")
 		if s.cfg.OMUEnabled && !s.hasFreeSlot() {
 			s.startReclaim(e)
 		}
@@ -875,7 +849,6 @@ func (s *Slice) handleLockSilent(r *Req) {
 	s.stats.SilentLocks++
 	s.met.silentLocks.Inc()
 	s.fl(obs.FSilent, r.Addr, r.Core, 0)
-	s.trace(trace.Silent, r.Addr, r.Core, "silent acquire")
 	e.owner = r.Core
 	e.standby = false
 	// No response: the core already completed its LOCK locally (§5), and it

@@ -1,7 +1,7 @@
 // Package fault is a seeded, deterministic fault injector plus a set of
 // runtime safety-invariant checkers for the MiSAR machine. Both follow the
 // nil-receiver-safe hook contract established by metrics.Registry and
-// trace.Buffer: every method is safe to call on a nil receiver and does
+// obs.FlightRecorder: every method is safe to call on a nil receiver and does
 // nothing, so an uninstrumented machine pays exactly one pointer comparison
 // per potential injection or check site.
 //

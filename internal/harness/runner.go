@@ -165,7 +165,7 @@ func (r *Run) Flight() []obs.FlightEvent {
 		return f
 	}
 	if r.m != nil {
-		return r.m.Flight.Events()
+		return r.m.FlightEvents()
 	}
 	return nil
 }

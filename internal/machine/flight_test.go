@@ -13,6 +13,7 @@ import (
 	"misar/internal/cpu"
 	"misar/internal/isa"
 	"misar/internal/machine"
+	"misar/internal/memory"
 	"misar/internal/obs"
 	"misar/internal/syncrt"
 )
@@ -122,8 +123,8 @@ func TestFlightDumpMatchesWatchdogDiagnosis(t *testing.T) {
 }
 
 // TestFlightRecorderAlwaysOn checks a healthy run records flight events too
-// (the recorder is not failure-gated), and that they render through the
-// trace conversion without loss.
+// (the recorder is not failure-gated), from the cores as well as the slices
+// and the coherence fabric.
 func TestFlightRecorderAlwaysOn(t *testing.T) {
 	const tiles = 4
 	cfg := machine.MSAOMU(tiles, 2)
@@ -143,17 +144,21 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
-	evs := m.Flight.Events()
+	evs := m.FlightEvents()
 	if len(evs) == 0 {
 		t.Fatal("clean run recorded no flight events")
 	}
-	var reqs, cohs int
+	var reqs, cohs, issues, dones int
 	for _, ev := range evs {
 		switch ev.Kind {
 		case obs.FMsaReq:
 			reqs++
 		case obs.FCoh:
 			cohs++
+		case obs.FIssue:
+			issues++
+		case obs.FDone:
+			dones++
 		}
 	}
 	if reqs == 0 {
@@ -162,7 +167,64 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if cohs == 0 {
 		t.Error("no coherence deliveries in the flight ring")
 	}
-	if conv := obs.TraceEvents(evs); len(conv) != len(evs) {
-		t.Errorf("trace conversion lost events: %d -> %d", len(evs), len(conv))
+	if issues == 0 || dones == 0 {
+		t.Errorf("core sync instructions missing from the flight ring: issue=%d done=%d", issues, dones)
+	}
+}
+
+// TestEveryDoneHasItsResponse: every MSA-served instruction a core completes
+// was answered through the slice's one response path, so each FDone is
+// preceded by an FMsaResp for the same core, address, op and result. Locks
+// here are handed off under contention, so the run exercises the hardware
+// UNLOCK success replies (with and without ClearHWSync).
+func TestEveryDoneHasItsResponse(t *testing.T) {
+	const tiles = 4
+	m := machine.New(machine.MSAOMU(tiles, 2))
+	m.ResizeFlight(1<<16, nil)
+	arena := syncrt.NewArena(0x100000)
+	locks := []syncrt.Mutex{arena.Mutex(), arena.Mutex()}
+	qnodes := make([]memory.Addr, tiles)
+	for i := range qnodes {
+		qnodes[i] = arena.QNode()
+	}
+	lib := syncrt.HWLib()
+	m.SpawnAll(tiles, func(tid int, e cpu.Env) {
+		rt := lib.Bind(e, qnodes[tid])
+		for i := 0; i < 20; i++ {
+			l := locks[(tid+i)%len(locks)]
+			rt.Lock(l)
+			e.Compute(30)
+			rt.Unlock(l)
+			e.Compute(uint64(5 + tid))
+		}
+	})
+	if _, err := m.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		core int16
+		addr memory.Addr
+		arg  uint32
+	}
+	outstanding := map[key]int{}
+	var dones, unlocks int
+	for _, ev := range m.FlightEvents() {
+		k := key{ev.Core, ev.Addr, ev.Arg}
+		switch ev.Kind {
+		case obs.FMsaResp:
+			outstanding[k]++
+		case obs.FDone:
+			dones++
+			if isa.SyncOp(ev.Arg>>8) == isa.OpUnlock && isa.Result(ev.Arg&0xff) == isa.Success {
+				unlocks++
+			}
+			if outstanding[k] == 0 {
+				t.Fatalf("%v has no preceding msa-resp", ev)
+			}
+			outstanding[k]--
+		}
+	}
+	if dones == 0 || unlocks == 0 {
+		t.Fatalf("run completed %d MSA ops, %d hardware unlocks; want both > 0", dones, unlocks)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/stats"
-	"misar/internal/trace"
 )
 
 // cohMsgNames decodes coherence.MsgKind values for the flight recorder's
@@ -217,15 +216,14 @@ type Machine struct {
 	Injector *fault.Injector
 	// Checker records safety-invariant violations (nil unless Cfg.Invariants).
 	Checker *fault.Checker
-	// Flight is the always-on flight recorder: a fixed ring of the most
-	// recent protocol events (MSA ops, OMU steers, entry lifecycle,
-	// coherence deliveries), dumped into LivenessError/SafetyError/
-	// PanicError so failures carry their own last moments. It is not a
-	// Config knob — Config stays a pure value for memo/store fingerprints —
-	// and recording is allocation-free, so every machine carries one.
-	// Sharded machines carry one single-writer ring per shard (Flights;
-	// Flight aliases shard 0's) and FlightEvents merges them by timestamp.
-	Flight  *obs.FlightRecorder
+	// Flights are the always-on flight recorders, one single-writer ring
+	// per shard: the most recent protocol events (core sync issues and
+	// completions, MSA ops, OMU steers, entry lifecycle, coherence
+	// deliveries), merged by timestamp in FlightEvents and dumped into
+	// LivenessError/SafetyError/PanicError so failures carry their own last
+	// moments. They are not a Config knob — Config stays a pure value for
+	// memo/store fingerprints — and recording is allocation-free, so every
+	// machine carries them. ResizeFlight turns them into a protocol trace.
 	Flights []*obs.FlightRecorder
 
 	// regs holds the per-shard metric registries (len 1 serial); Metrics
@@ -284,10 +282,10 @@ func (m *Machine) killThreads() {
 
 // FlightEvents merges the per-shard flight-recorder rings into one
 // timestamp-ordered dump (stable by shard at equal cycles). On a serial
-// machine it is exactly Flight.Events().
+// machine it is exactly the one ring's Events().
 func (m *Machine) FlightEvents() []obs.FlightEvent {
 	if len(m.Flights) == 1 {
-		return m.Flight.Events()
+		return m.Flights[0].Events()
 	}
 	var all []obs.FlightEvent
 	for _, f := range m.Flights {
@@ -370,7 +368,6 @@ func New(cfg Config) *Machine {
 	for s := range m.Flights {
 		m.Flights[s] = obs.NewFlightRecorder(0)
 	}
-	m.Flight = m.Flights[0]
 	var ideal *cpu.Ideal
 	if cfg.CPU.Mode == cpu.ModeIdeal {
 		ideal = cpu.NewIdeal()
@@ -805,19 +802,29 @@ func (m *Machine) MetricsReport(kind, app, lib string) *metrics.Report {
 	}
 }
 
-// AttachTracer records protocol events from every MSA slice and core into
-// b (see cmd/misar-trace). Pass nil to detach. The trace buffer is a shared
-// single-writer structure, so tracing requires the serial kernel.
-func (m *Machine) AttachTracer(b *trace.Buffer) {
-	if b != nil && m.Group != nil {
-		panic("machine: tracing requires a serial machine (Shards <= 1)")
+// ResizeFlight turns the flight rings into a protocol trace: it resizes
+// every shard's ring in place to capacity events (per shard) and, when
+// filter is non-nil, restricts recording to that synchronization address.
+// Call it before Run; the recorders wired into the components stay the same,
+// so FlightEvents returns the merged timeline afterwards.
+func (m *Machine) ResizeFlight(capacity int, filter *memory.Addr) {
+	for _, f := range m.Flights {
+		f.Resize(capacity)
+		if filter != nil {
+			f.SetFilter(*filter)
+		}
 	}
-	for _, sl := range m.Slices {
-		sl.SetTracer(b)
+}
+
+// FlightDump snapshots the merged flight rings (see FlightEvents), with
+// Total and Filtered summed over shards.
+func (m *Machine) FlightDump() obs.FlightDump {
+	d := obs.FlightDump{Schema: obs.FlightDumpSchema, Events: m.FlightEvents()}
+	for _, f := range m.Flights {
+		d.Total += f.Total()
+		d.Filtered += f.Filtered()
 	}
-	for _, c := range m.Cores {
-		c.SetTracer(b)
-	}
+	return d
 }
 
 // MSAStats aggregates all slices' statistics.

@@ -10,6 +10,7 @@ import (
 
 	"misar/internal/cpu"
 	"misar/internal/memory"
+	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/syncrt"
 )
@@ -300,4 +301,80 @@ func TestShardedRejectsIncompatibleConfigs(t *testing.T) {
 	faulted := shardedConfig(16, 2)
 	faulted.Fault.SteerRate = 1 << 20
 	mustPanic("fault-injection", faulted)
+}
+
+// TestShardedTracing: an enlarged flight ring is the protocol trace on a
+// sharded machine too. Core issue/done events and slice events arrive from
+// tiles on both shards, nothing is dropped, the merged timeline is
+// time-ordered, and the address filter applies on every shard.
+func TestShardedTracing(t *testing.T) {
+	const tiles = 16
+	// One lock per tile: consecutive lines spread the homes over the whole
+	// mesh, so both shards' slices serve requests.
+	run := func(filter *memory.Addr) (*Machine, []syncrt.Mutex) {
+		m := New(shardedConfig(tiles, 2))
+		m.ResizeFlight(1<<20, filter)
+		arena := syncrt.NewArena(0x100000)
+		locks := arena.MutexArray(tiles)
+		qnodes := make([]memory.Addr, tiles) // allocated up front: shards run threads concurrently
+		for i := range qnodes {
+			qnodes[i] = arena.QNode()
+		}
+		lib := syncrt.HWLib()
+		m.SpawnAll(tiles, func(tid int, e cpu.Env) {
+			rt := lib.Bind(e, qnodes[tid])
+			for i := 0; i < 2*tiles; i++ {
+				l := locks[(tid+i)%tiles]
+				rt.Lock(l)
+				e.Compute(10)
+				rt.Unlock(l)
+			}
+		})
+		if _, err := m.Run(deadline); err != nil {
+			t.Fatal(err)
+		}
+		return m, locks
+	}
+
+	m, locks := run(nil)
+	d := m.FlightDump()
+	if d.Total != uint64(len(d.Events)) {
+		t.Fatalf("enlarged ring dropped events: %d recorded, %d retained", d.Total, len(d.Events))
+	}
+	type key struct {
+		shard int
+		kind  obs.FlightKind
+	}
+	seen := map[key]int{}
+	for i, e := range d.Events {
+		if i > 0 && d.Events[i-1].At > e.At {
+			t.Fatalf("trace out of order at %d: %d then %d", i, d.Events[i-1].At, e.At)
+		}
+		seen[key{m.ShardOf(int(e.Tile)), e.Kind}]++
+	}
+	for shard := 0; shard < 2; shard++ {
+		for _, k := range []obs.FlightKind{obs.FIssue, obs.FDone, obs.FMsaReq, obs.FMsaResp} {
+			if seen[key{shard, k}] == 0 {
+				t.Errorf("shard %d recorded no %v events", shard, k)
+			}
+		}
+	}
+
+	// Filtered to one lock, every shard keeps only that lock's events.
+	addr := locks[0].Addr
+	m, _ = run(&addr)
+	d = m.FlightDump()
+	if len(d.Events) == 0 || d.Filtered == 0 {
+		t.Fatalf("filtered trace: %d events kept, %d filtered", len(d.Events), d.Filtered)
+	}
+	shards := map[int]bool{}
+	for _, e := range d.Events {
+		if e.Addr != addr {
+			t.Fatalf("filter let through %v", e)
+		}
+		shards[m.ShardOf(int(e.Tile))] = true
+	}
+	if len(shards) != 2 {
+		t.Errorf("filtered trace covers %d shards, want 2", len(shards))
+	}
 }

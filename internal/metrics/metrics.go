@@ -3,8 +3,8 @@
 // stats.Histogram-backed latency histograms) with hierarchical dot-separated
 // names such as "msa.tile3.overflow_steers" or "noc.link_flits.east".
 //
-// The design mirrors trace.Buffer's zero-cost-when-disabled contract at the
-// instrument level: components resolve their instruments once at attach time
+// The design follows a zero-cost-when-disabled contract at the instrument
+// level: components resolve their instruments once at attach time
 // and record through plain pointers; every instrument method is safe on a nil
 // receiver and compiles to a single predictable branch, so an unmetered
 // machine pays no allocations and no measurable time on its hot paths.

@@ -4,9 +4,11 @@
 //
 // The two halves mirror the repo's two time domains. The FlightRecorder
 // lives inside one simulated machine and records *simulated-time* events
-// (MSA operations, OMU steers, coherence messages, NoC deliveries) into a
-// fixed ring with zero allocations, so the last moments before a liveness or
-// safety failure are always available post mortem. The span Recorder lives
+// (core sync instructions, MSA operations, OMU steers, coherence messages)
+// into a fixed ring with zero allocations, so the last moments before a
+// liveness or safety failure are always available post mortem. Enlarged and
+// optionally address-filtered, the same ring is the protocol tracer whose
+// timeline WriteChrome renders for Perfetto. The span Recorder lives
 // in the serving processes and records *wall-clock* intervals (client
 // submit, queue wait, store lookup, simulation phases) tagged with a trace
 // ID minted at the edge, so one served job renders as a single timeline in
@@ -16,12 +18,12 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 
 	"misar/internal/isa"
 	"misar/internal/memory"
 	"misar/internal/sim"
-	"misar/internal/trace"
 )
 
 // FlightKind classifies one flight-recorder event.
@@ -30,44 +32,54 @@ type FlightKind uint8
 // Flight event kinds. The Arg encodings are fixed per kind and documented
 // here; Detail decodes them for humans.
 const (
-	FNone    FlightKind = iota
-	FMsaReq             // MSA request delivered to a home slice; Arg = isa.SyncOp
-	FMsaResp            // MSA response delivered to a core; Arg = op<<8 | isa.Result
-	FMsaMsg             // MSA-to-MSA cond-protocol message; Arg = internal kind
-	FCoh                // coherence message delivered; Arg = coherence MsgKind
-	FSteer              // OMU steered an acquire to software; Arg = isa.SyncType
-	FCapSteer           // capacity steer (no entry allocatable); Arg = isa.SyncType
-	FAlloc              // MSA entry allocated; Arg = isa.SyncType
-	FFree               // MSA entry deallocated; Arg = isa.SyncType
-	FStandby            // entry entered standby; Arg = isa.SyncType
-	FReclaim            // standby entry reclaim started; Arg = isa.SyncType
-	FGrant              // HWSync block grant shipped; Core = grantee
-	FRevoke             // standby revocation issued
-	FSilent             // LOCK_SILENT recorded
-	FTxBegin            // TM transaction attempt began; Arg = attempt number (0 = first)
-	FTxCommit           // TM transaction committed; Arg = write-set size
-	FTxAbort            // TM transaction aborted; Arg = tm abort reason (see tm.AbortReason)
+	FNone      FlightKind = iota
+	FMsaReq               // MSA request delivered to a home slice; Arg = isa.SyncOp
+	FMsaResp              // MSA response delivered to a core; Arg = op<<8 | isa.Result
+	FMsaMsg               // MSA-to-MSA cond-protocol message; Arg = internal kind
+	FCoh                  // coherence message delivered; Arg = coherence MsgKind
+	FSteer                // OMU steered an acquire to software; Arg = isa.SyncType | SteerForced when a fault forced it
+	FCapSteer             // capacity steer (no entry allocatable); Arg = isa.SyncType
+	FAlloc                // MSA entry allocated; Arg = isa.SyncType
+	FFree                 // MSA entry deallocated; Arg = isa.SyncType
+	FStandby              // entry entered standby; Arg = isa.SyncType
+	FReclaim              // standby entry reclaim started; Arg = isa.SyncType
+	FGrant                // HWSync block grant shipped; Core = grantee
+	FRevoke               // standby revocation issued
+	FSilent               // LOCK_SILENT recorded
+	FTxBegin              // TM transaction attempt began; Arg = attempt number (0 = first)
+	FTxCommit             // TM transaction committed; Arg = write-set size
+	FTxAbort              // TM transaction aborted; Arg = tm abort reason (see tm.AbortReason)
+	FIssue                // core issued a sync instruction; Arg = isa.SyncOp
+	FDone                 // core completed a sync instruction; Arg = op<<8 | isa.Result (as FMsaResp)
+	FCtxSwitch            // core context switch
 	numFlightKinds
 )
 
+// SteerForced flags an FSteer whose veto came from the fault injector, not
+// from a live OMU counter.
+const SteerForced uint32 = 1 << 8
+
 var flightKindNames = [numFlightKinds]string{
-	FNone:     "none",
-	FMsaReq:   "msa-req",
-	FMsaResp:  "msa-resp",
-	FMsaMsg:   "msa-msg",
-	FCoh:      "coh",
-	FSteer:    "steer",
-	FCapSteer: "cap-steer",
-	FAlloc:    "alloc",
-	FFree:     "free",
-	FStandby:  "standby",
-	FReclaim:  "reclaim",
-	FGrant:    "grant",
-	FRevoke:   "revoke",
-	FSilent:   "silent",
-	FTxBegin:  "tx-begin",
-	FTxCommit: "tx-commit",
-	FTxAbort:  "tx-abort",
+	FNone:      "none",
+	FMsaReq:    "msa-req",
+	FMsaResp:   "msa-resp",
+	FMsaMsg:    "msa-msg",
+	FCoh:       "coh",
+	FSteer:     "steer",
+	FCapSteer:  "cap-steer",
+	FAlloc:     "alloc",
+	FFree:      "free",
+	FStandby:   "standby",
+	FReclaim:   "reclaim",
+	FGrant:     "grant",
+	FRevoke:    "revoke",
+	FSilent:    "silent",
+	FTxBegin:   "tx-begin",
+	FTxCommit:  "tx-commit",
+	FTxAbort:   "tx-abort",
+	FIssue:     "issue",
+	FDone:      "done",
+	FCtxSwitch: "ctxsw",
 }
 
 func (k FlightKind) String() string {
@@ -128,11 +140,16 @@ type FlightEvent struct {
 // Detail renders the kind-specific Arg for humans.
 func (e FlightEvent) Detail() string {
 	switch e.Kind {
-	case FMsaReq:
+	case FMsaReq, FIssue:
 		return isa.SyncOp(e.Arg).String()
-	case FMsaResp:
+	case FMsaResp, FDone:
 		return isa.SyncOp(e.Arg>>8).String() + " " + isa.Result(e.Arg&0xff).String()
-	case FSteer, FCapSteer, FAlloc, FFree, FStandby, FReclaim:
+	case FSteer:
+		if e.Arg&SteerForced != 0 {
+			return isa.SyncType(e.Arg&^SteerForced).String() + " forced (fault)"
+		}
+		return isa.SyncType(e.Arg).String()
+	case FCapSteer, FAlloc, FFree, FStandby, FReclaim:
 		return isa.SyncType(e.Arg).String()
 	default:
 		if n, ok := argName(e.Kind, e.Arg); ok {
@@ -146,8 +163,12 @@ func (e FlightEvent) Detail() string {
 }
 
 func (e FlightEvent) String() string {
-	return fmt.Sprintf("%10d  tile %-2d %-9s core %-3d %#10x  %s",
-		e.At, e.Tile, e.Kind, e.Core, uint64(e.Addr), e.Detail())
+	s := fmt.Sprintf("%10d  tile %-2d %-9s core %-3d %#10x",
+		e.At, e.Tile, e.Kind, e.Core, uint64(e.Addr))
+	if d := e.Detail(); d != "" {
+		s += "  " + d
+	}
+	return s
 }
 
 // flightEventJSON is the wire form of one event (kind by name, arg decoded).
@@ -187,52 +208,6 @@ func (e *FlightEvent) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// TraceEvent converts the compact record into the trace package's richer
-// event form, so flight dumps render through the existing text and
-// Chrome-trace writers (cmd/misar-trace -from-flight).
-func (e FlightEvent) TraceEvent() trace.Event {
-	var kind trace.Kind
-	switch e.Kind {
-	case FMsaReq:
-		kind = trace.SyncReq
-	case FMsaResp:
-		kind = trace.SyncResp
-	case FMsaMsg:
-		kind = trace.MsaInternal
-	case FSteer, FCapSteer:
-		kind = trace.Steer
-	case FAlloc:
-		kind = trace.EntryAlloc
-	case FFree:
-		kind = trace.EntryFree
-	case FStandby:
-		kind = trace.EntryStand
-	case FReclaim:
-		kind = trace.EntryRecl
-	case FGrant:
-		kind = trace.Grant
-	case FRevoke:
-		kind = trace.Revoke
-	case FSilent:
-		kind = trace.Silent
-	default:
-		kind = trace.Kind(e.Kind.String())
-	}
-	return trace.Event{
-		At: e.At, Tile: int(e.Tile), Kind: kind,
-		Addr: e.Addr, Core: int(e.Core), Detail: e.Detail(),
-	}
-}
-
-// TraceEvents converts a dump slice (see FlightEvent.TraceEvent).
-func TraceEvents(events []FlightEvent) []trace.Event {
-	out := make([]trace.Event, len(events))
-	for i, e := range events {
-		out[i] = e.TraceEvent()
-	}
-	return out
-}
-
 // DefaultFlightCapacity is the per-machine ring size: large enough to span
 // the window between a fault and the watchdog tripping (tens of thousands of
 // simulated cycles of sync traffic), small enough that every machine carries
@@ -246,6 +221,9 @@ const DefaultFlightCapacity = 4096
 // A nil *FlightRecorder records nothing, so call sites never branch beyond
 // the receiver check.
 //
+// The same ring serves as the protocol tracer: Resize enlarges it before a
+// run and SetFilter restricts it to one synchronization address.
+//
 // Readers (error dumps, the /flight endpoint) must only call Events or
 // Snapshot after the simulation has stopped; the recorder is not a
 // concurrent structure, it is a crash recorder.
@@ -253,21 +231,51 @@ type FlightRecorder struct {
 	ring  []FlightEvent
 	next  int
 	total uint64 // events ever recorded (total - len(ring) were overwritten)
+	// filter limits recording to one address when filterSet is true. The
+	// explicit flag (rather than a zero sentinel) makes address 0
+	// filterable; filtered counts the events the filter suppressed.
+	filter    memory.Addr
+	filterSet bool
+	filtered  uint64
 }
 
 // NewFlightRecorder builds a recorder holding the last capacity events;
 // capacity < 1 selects DefaultFlightCapacity.
 func NewFlightRecorder(capacity int) *FlightRecorder {
+	f := &FlightRecorder{}
+	f.Resize(capacity)
+	return f
+}
+
+// Resize replaces the ring with an empty one holding capacity events
+// (capacity < 1 selects DefaultFlightCapacity). Retained events are
+// discarded and count as lost (see Total). Call it before a run: a
+// tracing run enlarges the ring so it keeps the whole timeline, not the
+// tail.
+func (f *FlightRecorder) Resize(capacity int) {
 	if capacity < 1 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{ring: make([]FlightEvent, 0, capacity)}
+	f.ring, f.next = make([]FlightEvent, 0, capacity), 0
+}
+
+// SetFilter restricts recording to events for one address (address 0 is a
+// valid filter). Events that do not match — including addr-less events such
+// as context switches — are counted by Filtered rather than silently
+// vanishing.
+func (f *FlightRecorder) SetFilter(addr memory.Addr) {
+	f.filter = addr
+	f.filterSet = true
 }
 
 // Record appends one event, overwriting the oldest when full. Safe on a nil
 // receiver. Zero allocations.
 func (f *FlightRecorder) Record(ev FlightEvent) {
 	if f == nil {
+		return
+	}
+	if f.filterSet && ev.Addr != f.filter {
+		f.filtered++
 		return
 	}
 	f.total++
@@ -282,21 +290,21 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 	}
 }
 
-// Len reports how many events are retained.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.ring)
-}
-
-// Total reports how many events were ever recorded (Total - Len were lost
-// to ring overwrites).
+// Total reports how many events were ever recorded (those beyond the
+// retained Events were lost to ring overwrites).
 func (f *FlightRecorder) Total() uint64 {
 	if f == nil {
 		return 0
 	}
 	return f.total
+}
+
+// Filtered reports how many events the address filter suppressed.
+func (f *FlightRecorder) Filtered() uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.filtered
 }
 
 // Events returns the retained events oldest-first. The slice is a copy; the
@@ -315,21 +323,38 @@ func (f *FlightRecorder) Events() []FlightEvent {
 	return out
 }
 
-// FlightDumpSchema versions the serialized FlightDump layout.
-const FlightDumpSchema = "misar-flight/v1"
+// FlightDumpSchema versions the serialized FlightDump layout. v2 added the
+// core-side kinds (issue, done, ctxsw) and the filtered count; a v1 dump is
+// a subset and decodes unchanged.
+const FlightDumpSchema = "misar-flight/v2"
 
 // FlightDump is the serializable snapshot of a recorder, as returned by the
 // job server's /flight endpoint and consumed by misar-trace -from-flight.
 type FlightDump struct {
-	Schema string        `json:"schema"`
-	Job    string        `json:"job,omitempty"`   // serving job ID, when known
-	Label  string        `json:"label,omitempty"` // experiment label
-	Trace  string        `json:"trace,omitempty"` // serving trace ID
-	Total  uint64        `json:"total"`           // events ever recorded
-	Events []FlightEvent `json:"events"`
+	Schema   string        `json:"schema"`
+	Job      string        `json:"job,omitempty"`      // serving job ID, when known
+	Label    string        `json:"label,omitempty"`    // experiment label
+	Trace    string        `json:"trace,omitempty"`    // serving trace ID
+	Total    uint64        `json:"total"`              // events ever recorded
+	Filtered uint64        `json:"filtered,omitempty"` // events the address filter suppressed
+	Events   []FlightEvent `json:"events"`
 }
 
 // Snapshot builds a FlightDump of the recorder's current contents.
 func (f *FlightRecorder) Snapshot() FlightDump {
-	return FlightDump{Schema: FlightDumpSchema, Total: f.Total(), Events: f.Events()}
+	return FlightDump{Schema: FlightDumpSchema, Total: f.Total(), Filtered: f.Filtered(), Events: f.Events()}
+}
+
+// ReadFlightDump decodes a FlightDump, accepting the current schema and
+// misar-flight/v1 (a dump without a schema field is taken as current).
+func ReadFlightDump(r io.Reader) (FlightDump, error) {
+	var d FlightDump
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
+		return d, fmt.Errorf("decode flight dump: %w", err)
+	}
+	switch d.Schema {
+	case "", FlightDumpSchema, "misar-flight/v1":
+		return d, nil
+	}
+	return d, fmt.Errorf("unknown flight dump schema %q (want %q)", d.Schema, FlightDumpSchema)
 }

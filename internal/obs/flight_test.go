@@ -7,7 +7,6 @@ import (
 
 	"misar/internal/isa"
 	"misar/internal/sim"
-	"misar/internal/trace"
 )
 
 func at(i int) sim.Time { return sim.Time(i) }
@@ -17,8 +16,8 @@ func TestFlightRecorderRing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.Record(FlightEvent{At: at(i), Kind: FMsaReq, Tile: int16(i)})
 	}
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", f.Len())
+	if len(f.Events()) != 4 {
+		t.Fatalf("retained = %d, want 4", len(f.Events()))
 	}
 	if f.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", f.Total())
@@ -44,7 +43,7 @@ func TestFlightRecorderPartialFill(t *testing.T) {
 func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(FlightEvent{}) // must not panic
-	if f.Len() != 0 || f.Total() != 0 || f.Events() != nil {
+	if len(f.Events()) != 0 || f.Total() != 0 || f.Events() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
 }
@@ -100,19 +99,83 @@ func TestFlightEventDetail(t *testing.T) {
 	}
 }
 
-func TestFlightTraceEventConversion(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.Record(FlightEvent{At: 10, Kind: FMsaReq, Tile: 2, Core: 5, Addr: 0x40, Arg: uint32(isa.OpBarrier)})
-	f.Record(FlightEvent{At: 20, Kind: FGrant, Tile: 2, Core: 5, Addr: 0x40})
-	evs := TraceEvents(f.Events())
-	if evs[0].Kind != trace.SyncReq || evs[1].Kind != trace.Grant {
-		t.Fatalf("converted kinds = %v, %v", evs[0].Kind, evs[1].Kind)
+func TestFlightEventDetailCoreKinds(t *testing.T) {
+	if d := (FlightEvent{Kind: FIssue, Arg: uint32(isa.OpBarrier)}).Detail(); d != "BARRIER" {
+		t.Errorf("issue detail = %q, want the op", d)
 	}
-	if evs[0].Tile != 2 || evs[0].Core != 5 || evs[0].Addr != 0x40 {
-		t.Errorf("converted fields lost: %+v", evs[0])
+	done := FlightEvent{Kind: FDone, Arg: uint32(isa.OpUnlock)<<8 | uint32(isa.Success)}
+	if d, want := done.Detail(), (FlightEvent{Kind: FMsaResp, Arg: done.Arg}).Detail(); d != want {
+		t.Errorf("done detail %q should decode like msa-resp %q", d, want)
 	}
-	if !strings.Contains(evs[0].Detail, "BARRIER") {
-		t.Errorf("detail %q should name the op", evs[0].Detail)
+	forced := FlightEvent{Kind: FSteer, Arg: uint32(isa.TypeLock) | SteerForced}
+	if d := forced.Detail(); !strings.Contains(d, "lock") || !strings.Contains(d, "forced") {
+		t.Errorf("forced steer detail %q should name the type and the fault", d)
+	}
+	if d := (FlightEvent{Kind: FSteer, Arg: uint32(isa.TypeLock)}).Detail(); strings.Contains(d, "forced") {
+		t.Errorf("OMU steer detail %q must not claim a fault", d)
+	}
+}
+
+func TestFilter(t *testing.T) {
+	f := NewFlightRecorder(10)
+	f.SetFilter(0x1000)
+	f.Record(FlightEvent{Addr: 0x1000, At: 1})
+	f.Record(FlightEvent{Addr: 0x2000, At: 2})
+	f.Record(FlightEvent{Addr: 0, At: 3, Kind: FCtxSwitch})
+	if len(f.Events()) != 1 {
+		t.Fatalf("retained = %d, want 1", len(f.Events()))
+	}
+	if f.Filtered() != 2 {
+		t.Fatalf("Filtered = %d, want 2", f.Filtered())
+	}
+	if f.Total() != 1 {
+		t.Fatalf("Total = %d, want 1 (filtered events are not recorded)", f.Total())
+	}
+	if f.Events()[0].At != 1 {
+		t.Fatalf("wrong event kept: %v", f.Events())
+	}
+}
+
+func TestFilterAddrZero(t *testing.T) {
+	// Address 0 is a legal filter target under the explicit filterSet flag
+	// (a zero-sentinel convention would conflate it with "no filter").
+	f := NewFlightRecorder(10)
+	f.SetFilter(0)
+	f.Record(FlightEvent{Addr: 0, Kind: FCtxSwitch})
+	f.Record(FlightEvent{Addr: 0x2000})
+	if len(f.Events()) != 1 || f.Filtered() != 1 {
+		t.Fatalf("retained = %d, Filtered = %d", len(f.Events()), f.Filtered())
+	}
+}
+
+func TestNoFilterRecordsEverything(t *testing.T) {
+	f := NewFlightRecorder(10)
+	f.Record(FlightEvent{Addr: 0x1000})
+	f.Record(FlightEvent{Addr: 0})
+	if len(f.Events()) != 2 || f.Filtered() != 0 {
+		t.Fatalf("retained = %d, Filtered = %d", len(f.Events()), f.Filtered())
+	}
+}
+
+func TestFlightRecorderResize(t *testing.T) {
+	f := NewFlightRecorder(4)
+	f.SetFilter(0x40)
+	f.Record(FlightEvent{At: 1, Addr: 0x40})
+	f.Resize(8) // discards the retained event, keeps the filter and the count
+	if len(f.Events()) != 0 || f.Total() != 1 {
+		t.Fatalf("after resize: %d retained, Total %d", len(f.Events()), f.Total())
+	}
+	for i := 0; i < 10; i++ {
+		f.Record(FlightEvent{At: at(i), Addr: 0x40})
+	}
+	f.Record(FlightEvent{At: 99, Addr: 0x80})
+	evs := f.Events()
+	if len(evs) != 8 || evs[0].At != 2 || evs[7].At != 9 || f.Filtered() != 1 {
+		t.Fatalf("resized ring: %+v, Filtered %d", evs, f.Filtered())
+	}
+	f.Resize(0) // capacity < 1 clamps to the default ring
+	if cap(f.ring) != DefaultFlightCapacity {
+		t.Fatalf("Resize(0) capacity = %d, want %d", cap(f.ring), DefaultFlightCapacity)
 	}
 }
 
@@ -127,3 +190,42 @@ func TestFlightDumpSnapshot(t *testing.T) {
 	}
 }
 
+// TestReadFlightDumpV1 decodes a literal misar-flight/v1 dump: v2 only added
+// kinds and a field, so a v1 dump decodes through the same path.
+func TestReadFlightDumpV1(t *testing.T) {
+	const v1 = `{"schema":"misar-flight/v1","job":"j-00000001","label":"x","total":9,"events":[
+		{"at":100,"kind":"msa-req","tile":3,"core":7,"addr":4096,"arg":1,"detail":"LOCK"},
+		{"at":120,"kind":"grant","tile":3,"core":7,"addr":4096}]}`
+	d, err := ReadFlightDump(strings.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Total != 9 || d.Job != "j-00000001" || len(d.Events) != 2 {
+		t.Fatalf("decoded %+v", d)
+	}
+	want := FlightEvent{At: 100, Kind: FMsaReq, Tile: 3, Core: 7, Addr: 0x1000, Arg: 1}
+	if d.Events[0] != want || d.Events[1].Kind != FGrant {
+		t.Fatalf("events = %+v", d.Events)
+	}
+	if _, err := ReadFlightDump(strings.NewReader(`{"schema":"misar-flight/v9","events":[]}`)); err == nil {
+		t.Fatal("unknown schema accepted")
+	}
+}
+
+func TestReadFlightDumpRoundTrip(t *testing.T) {
+	f := NewFlightRecorder(4)
+	f.SetFilter(0x40)
+	f.Record(FlightEvent{At: 1, Kind: FIssue, Addr: 0x40, Arg: uint32(isa.OpLock)})
+	f.Record(FlightEvent{At: 2, Kind: FCtxSwitch})
+	blob, err := json.Marshal(f.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadFlightDump(strings.NewReader(string(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Schema != FlightDumpSchema || d.Filtered != 1 || len(d.Events) != 1 || d.Events[0].Kind != FIssue {
+		t.Fatalf("round trip = %+v", d)
+	}
+}

@@ -76,13 +76,13 @@ func TestTraceGoldenStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var envelope struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &envelope); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	procs := map[string]bool{}
-	for _, ev := range envelope.TraceEvents {
+	for _, ev := range envelope.Events {
 		if ev["name"] == "process_name" {
 			args := ev["args"].(map[string]any)
 			procs[args["name"].(string)] = true
@@ -343,12 +343,12 @@ func TestJobTraceEndpoint(t *testing.T) {
 		t.Errorf("trace endpoint header %q, want %q", got, final.Trace)
 	}
 	var envelope struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatalf("trace endpoint did not serve JSON: %v", err)
 	}
-	if len(envelope.TraceEvents) == 0 {
+	if len(envelope.Events) == 0 {
 		t.Fatal("empty chrome trace")
 	}
 }

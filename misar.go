@@ -44,11 +44,11 @@ import (
 	"misar/internal/machine"
 	"misar/internal/memory"
 	"misar/internal/metrics"
+	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/stats"
 	"misar/internal/store"
 	"misar/internal/syncrt"
-	"misar/internal/trace"
 	"misar/internal/verify"
 	"misar/internal/workload"
 )
@@ -85,9 +85,11 @@ type (
 	Table = stats.Table
 	// Options scales harness experiments.
 	Options = harness.Options
-	// TraceBuffer records protocol events (see Machine.AttachTracer and
+	// FlightEvent is one recorded protocol event. Every machine keeps the
+	// most recent ones in its flight rings; Machine.ResizeFlight enlarges
+	// them into a whole-run trace, read back with Machine.FlightEvents (see
 	// cmd/misar-trace).
-	TraceBuffer = trace.Buffer
+	FlightEvent = obs.FlightEvent
 	// Histogram is a power-of-two bucketed latency histogram.
 	Histogram = stats.Histogram
 
@@ -133,13 +135,11 @@ var (
 	// SaveConfig/LoadConfig serialize machine configurations as JSON.
 	SaveConfig = machine.SaveConfig
 	LoadConfig = machine.LoadConfig
-	// NewTraceBuffer creates a bounded protocol-event recorder.
-	NewTraceBuffer = trace.NewBuffer
 	// NewMetricsRegistry builds an empty metrics registry.
 	NewMetricsRegistry = metrics.NewRegistry
-	// WriteChromeTrace renders recorded events as Chrome trace-event JSON
+	// WriteChromeTrace renders flight events as Chrome trace-event JSON
 	// (Perfetto-loadable).
-	WriteChromeTrace = trace.WriteChrome
+	WriteChromeTrace = obs.WriteChrome
 )
 
 // Synchronization libraries (the paper's software baselines and the
