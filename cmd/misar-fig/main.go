@@ -17,9 +17,9 @@
 // fairness, suspend, sync-overhead, scale, all.
 //
 // -shards N runs every compatible simulation on the sharded conservative
-// kernel (incompatible configurations fall back to the serial kernel).
-// Results are deterministic per shard count but, under same-cycle
-// contention, not cycle-identical to the serial kernel — see DESIGN.md §14.
+// kernel (incompatible configurations fall back to the serial kernel). The
+// tables are byte-identical to the serial ones; only wall time changes —
+// see DESIGN.md §14.
 //
 // -report dir/ meters every simulation and writes one JSON metrics report
 // per unique run into dir/ (deterministic filenames; see internal/metrics).

@@ -195,9 +195,12 @@ func RunPlan(seed int64, plan fault.Plan, opt Options) *Outcome {
 					// Transactional read-modify-write: the body may re-run
 					// on abort, so it touches only transactional state (no
 					// holder bookkeeping — overlapping attempts are legal).
+					// The read-to-commit window is long enough (100–119
+					// cycles) for a conflicting commit to land inside it,
+					// which is what makes a skipped validation observable.
 					rt.Critical(locks[l], func() {
 						v := rt.Load(counters[l])
-						e.Compute(uint64(5 + (i*7+k*3)%20))
+						e.Compute(uint64(100 + (i*7+k*3)%20))
 						rt.Store(counters[l], v+1)
 					})
 				} else {

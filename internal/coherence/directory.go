@@ -218,7 +218,7 @@ func (d *Directory) admit(line memory.Addr, t *txn) {
 	if d.extraLat != nil {
 		lat += d.extraLat()
 	}
-	d.engine.AfterCall(lat, dirStart, e)
+	d.engine.AfterCall(lat, dirStart, e, d.tile)
 }
 
 // dirStart is the static start-of-transaction event handler; arg is the
@@ -335,7 +335,7 @@ func (d *Directory) conclude(line memory.Addr, e *dirEntry, msg *Msg) {
 		e.waitq = e.waitq[1:]
 		e.busy = true
 		e.cur = next
-		d.engine.AfterCall(d.cfg.LLCLatency, dirStart, e)
+		d.engine.AfterCall(d.cfg.LLCLatency, dirStart, e, d.tile)
 	}
 }
 

@@ -237,7 +237,7 @@ func (c *L1) complete(after sim.Time, val uint64, done func(uint64)) {
 		panic(fmt.Sprintf("coherence: core %d completion already pending", c.core))
 	}
 	c.compVal, c.compDone = val, done
-	c.engine.AfterCall(after, l1Complete, c)
+	c.engine.AfterCall(after, l1Complete, c, c.core)
 }
 
 func l1Complete(arg any) {

@@ -492,7 +492,7 @@ func sliceSendDelayed(arg any) {
 // ack-delay site covers grants, aborts, and ClearHWSync handoffs alike.
 func (s *Slice) send(core int, r *Resp) {
 	if d := s.inj.AckDelay(); d > 0 {
-		s.engine.AfterCall(d, sliceSendDelayed, &delayedResp{s: s, core: core, r: r})
+		s.engine.AfterCall(d, sliceSendDelayed, &delayedResp{s: s, core: core, r: r}, s.tile)
 		return
 	}
 	s.sendResp(core, r)

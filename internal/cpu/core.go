@@ -272,7 +272,7 @@ func (c *Core) dispatch(t *Thread, r threadReq) {
 	switch r.kind {
 	case reqCompute:
 		c.stats.ComputeCycles += r.cycles
-		c.engine.AfterCall(sim.Time(r.cycles), coreComputeDone, c)
+		c.engine.AfterCall(sim.Time(r.cycles), coreComputeDone, c, c.id)
 	case reqLoad:
 		c.l1.Access(r.addr, coherence.AccLoad, 0, nil, c.memDone)
 	case reqStore:
@@ -299,16 +299,16 @@ func (c *Core) handleSync(t *Thread, r threadReq) {
 			c.check.LockReleased(r.addr, fault.WorldSW)
 		}
 		if r.op == isa.OpFinish {
-			c.engine.AfterCall(c.cfg.IssueLatency, coreResumeSuccess, c)
+			c.engine.AfterCall(c.cfg.IssueLatency, coreResumeSuccess, c, c.id)
 		} else {
-			c.engine.AfterCall(c.cfg.IssueLatency, coreResumeFail, c)
+			c.engine.AfterCall(c.cfg.IssueLatency, coreResumeFail, c, c.id)
 		}
 		return
 	case ModeIdeal:
 		// Pay the 1-cycle issue cost so time always advances, then resolve
 		// with zero communication latency.
 		c.pendReq = r
-		c.engine.AfterCall(c.cfg.IssueLatency, coreIdealIssue, c)
+		c.engine.AfterCall(c.cfg.IssueLatency, coreIdealIssue, c, c.id)
 		return
 	}
 	// ModeMSA.
@@ -316,19 +316,19 @@ func (c *Core) handleSync(t *Thread, r threadReq) {
 	switch {
 	case r.op == isa.OpFinish:
 		c.sendSync(home, c.reqPool.Get(corepkg.Req{Op: r.op, Addr: r.addr, Core: c.id}))
-		c.engine.AfterCall(c.cfg.IssueLatency, coreResumeSuccess, c)
+		c.engine.AfterCall(c.cfg.IssueLatency, coreResumeSuccess, c, c.id)
 	case r.op == isa.OpLock && c.cfg.HWSyncOpt && c.l1.HWSyncHit(r.addr):
 		// §5 fast path: the lock's line is still here, writable, with the
 		// HWSync bit — re-acquire silently and just notify the home.
 		c.stats.SilentLocks++
 		c.check.LockAcquired(r.addr, c.id, fault.WorldHW)
 		c.sendSync(home, c.reqPool.Get(corepkg.Req{Op: isa.OpLockSilent, Addr: r.addr, Core: c.id}))
-		c.engine.AfterCall(c.cfg.IssueLatency, coreResumeSuccess, c)
+		c.engine.AfterCall(c.cfg.IssueLatency, coreResumeSuccess, c, c.id)
 	default:
 		c.outBuf = outstanding{t: t, op: r.op, addr: r.addr, lock: r.lock, issued: c.engine.Now()}
 		c.out = &c.outBuf
 		c.pendReq = r
-		c.engine.AfterCall(c.cfg.IssueLatency, coreSendPending, c)
+		c.engine.AfterCall(c.cfg.IssueLatency, coreSendPending, c, c.id)
 	}
 }
 

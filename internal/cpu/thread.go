@@ -101,7 +101,7 @@ func (x *Complex) Start(t *Thread, core int, at sim.Time) {
 	}
 	t.started = true
 	x.running++
-	x.engine.At(at, func() {
+	x.engine.AtCall(at, func(any) {
 		c := x.cores[core]
 		c.adopt(t)
 		t.onDone = func() { x.running-- }
@@ -117,7 +117,7 @@ func (x *Complex) Start(t *Thread, core int, at sim.Time) {
 			t.body(env{t})
 		}()
 		c.await()
-	})
+	}, nil, core)
 }
 
 // finish is called by the core when the thread's request channel closes.

@@ -72,11 +72,8 @@ func (o Options) appList() ([]workload.App, error) {
 // with the given shard count. Configurations the sharded kernel rejects —
 // Ideal mode's zero-latency sync tables, fault plans, meshes whose height
 // the shard count does not divide — fall back to the serial kernel, so a
-// whole figure sweep can be flipped with one call and still render. Each
-// shard count is a deterministic pure function of the configuration, pinned
-// by its own golden file; it is NOT guaranteed to be cycle-identical to the
-// serial kernel under same-cycle contention — see DESIGN.md §14 and
-// TestShardedFigureDivergencePinned for the rationale.
+// whole figure sweep can be flipped with one call and still render. The
+// tables are byte-identical to the serial ones (DESIGN.md §14).
 func ShardTransform(shards int) func(machine.Config) machine.Config {
 	return func(c machine.Config) machine.Config {
 		sharded := c

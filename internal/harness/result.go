@@ -14,9 +14,11 @@ import (
 )
 
 // ResultSchema versions the serialized Result layout. Bump it whenever a
-// field changes meaning; old store records with a different schema are
-// treated as misses (and re-simulated), never misread.
-const ResultSchema = 1
+// field changes meaning, including a model change that moves simulated
+// cycles; old store records with a different schema are treated as misses
+// (and re-simulated), never misread. Version 2: the canonical same-cycle
+// event order (DESIGN.md §14).
+const ResultSchema = 2
 
 // Result is the serializable outcome of one successful simulation — exactly
 // the facts the figures, tables, and the serving layer consume, and nothing
@@ -95,6 +97,7 @@ func (r *Run) applyResult(res *Result) {
 // An unmarshalable config (impossible today; Config is a pure value struct)
 // returns "" and the run simply bypasses the store.
 func storeKey(kind string, cfg machine.Config, lib *syncrt.Lib, budget sim.Time) string {
+	cfg.Shards = 0 // a result is the same at every shard count (see runKey)
 	cb, err := json.Marshal(cfg)
 	if err != nil {
 		return ""

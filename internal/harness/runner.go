@@ -83,7 +83,9 @@ type Runner struct {
 
 // runKey identifies one unique simulation. The cfg and lib fields are full
 // value fingerprints, so ablation configs that tweak a parameter without
-// renaming (e.g. OMUSweep mutating OMUCounters) never alias.
+// renaming (e.g. OMUSweep mutating OMUCounters) never alias. The shard
+// count is not part of the identity: every shard count simulates the same
+// events in the same order, so a result is shared across shard counts.
 type runKey struct {
 	kind string // "app:<name>" or "micro:<operation>"
 	cfg  string
@@ -91,6 +93,7 @@ type runKey struct {
 }
 
 func keyFor(kind string, cfg machine.Config, lib *syncrt.Lib) runKey {
+	cfg.Shards = 0
 	return runKey{kind: kind, cfg: fmt.Sprintf("%+v", cfg), lib: fmt.Sprintf("%+v", *lib)}
 }
 

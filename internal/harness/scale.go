@@ -37,20 +37,20 @@ const scaleDeadline sim.Time = 1 << 40
 // Unlike the figure experiments this sweep reports HOST wall-clock, which
 // is inherently nondeterministic, so it has no golden and no memoization:
 // each (tiles, shards) point is simulated directly and its wall time,
-// speedup versus the serial kernel at the same scale, simulated end cycle,
-// and end-cycle delta versus serial are tabulated. The cycle columns are
-// deterministic; the delta is 0 when the sharded run's same-cycle
-// tie-breaks agree with the serial kernel for this workload, and its exact
-// value is pinned by TestShardedFigureDivergencePinned-style golden tests
-// only where it matters (the figure sweeps) — here it is reported honestly.
+// speedup versus the serial kernel at the same scale, simulated end cycle
+// and event count are tabulated. Both kernels order events by the same
+// canonical key, so a sharded point must end at the serial end cycle after
+// the same number of events; any difference is a kernel bug and fails the
+// sweep.
 func ScaleSweep(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("Scale: %d-phase tree-barrier workload, wall-clock by shard count (GOMAXPROCS=%d)",
 			scalePhases, runtime.GOMAXPROCS(0)),
-		"Wall ms", "Speedup", "KCycles", "CycleDelta", "KEvents")
+		"Wall ms", "Speedup", "KCycles", "KEvents")
 	for _, tiles := range o.Tiles {
 		var serialWall time.Duration
 		var serialEnd sim.Time
+		var serialFired uint64
 		for _, shards := range ScaleShards {
 			end, fired, wall, ok, err := scalePoint(tiles, shards)
 			if err != nil {
@@ -60,17 +60,15 @@ func ScaleSweep(o Options) (*stats.Table, error) {
 				continue
 			}
 			if shards == 1 {
-				serialWall, serialEnd = wall, end
-			}
-			speedup := 0.0
-			if wall > 0 && serialWall > 0 {
-				speedup = float64(serialWall) / float64(wall)
+				serialWall, serialEnd, serialFired = wall, end, fired
+			} else if end != serialEnd || fired != serialFired {
+				return nil, fmt.Errorf("harness: scale %dc/%d shards ended at cycle %d after %d events; the serial kernel ended at %d after %d",
+					tiles, shards, end, fired, serialEnd, serialFired)
 			}
 			t.AddRow(fmt.Sprintf("%dc/k%d", tiles, shards),
 				float64(wall.Milliseconds()),
-				speedup,
+				float64(serialWall)/float64(max(wall, 1)),
 				float64(end)/1e3,
-				float64(int64(end)-int64(serialEnd)),
 				float64(fired)/1e3)
 		}
 	}

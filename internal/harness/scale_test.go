@@ -27,10 +27,11 @@ func TestScalePointDeterministic(t *testing.T) {
 	}
 }
 
-// TestScaleSweepBeyond64Tiles is the scaling proof the sharded kernel PR
+// TestScaleSweepBeyond64Tiles is the scaling proof the sharded kernel
 // exists for: the machine must simulate past the former 64-tile bitvector
 // cap. One 256-tile sweep point per shard count, including the serial
-// kernel, must complete and tabulate.
+// kernel, must complete and tabulate, and ScaleSweep fails unless every
+// sharded point ends at the serial end cycle after the same event count.
 func TestScaleSweepBeyond64Tiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 256-tile machine at four shard counts")

@@ -1,13 +1,18 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"misar/internal/machine"
 	"misar/internal/stats"
 	"misar/internal/store"
+	"misar/internal/syncrt"
+	"misar/internal/workload"
 )
 
 // quickTables renders a representative figure set (micros, speedups,
@@ -155,5 +160,50 @@ func TestStoreRoundTripsReports(t *testing.T) {
 	}
 	if string(coldBlob) != string(warmBlob) {
 		t.Errorf("metered reports diverged between cold and warm runs")
+	}
+}
+
+// The shard count is not part of a run's identity: a metered result
+// simulated serially is a store hit for the same run submitted on two
+// shards, and simulating it on two shards yields the same Result bytes.
+func TestStoreSharesResultsAcrossShardCounts(t *testing.T) {
+	app, _ := workload.ByName("fluidanimate")
+	dir := t.TempDir()
+	result := func(shards int, withStore bool) ([]byte, bool) {
+		t.Helper()
+		r := NewRunner(1)
+		r.EnableMetrics()
+		if withStore {
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetStore(st)
+		}
+		cfg := machine.MSAOMU(16, 2)
+		cfg.Shards = shards
+		run := r.App(app, cfg, syncrt.HWLib())
+		res, err := run.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, run.FromStore()
+	}
+	serial, _ := result(1, true)
+	warm, hit := result(2, true)
+	if !hit {
+		t.Fatal("a 2-shard submission missed the store record of the serial run")
+	}
+	if !bytes.Equal(warm, serial) {
+		t.Fatalf("store hit returned different bytes:\n%s\nserial:\n%s", warm, serial)
+	}
+	for _, k := range []int{2, 4} {
+		if sharded, _ := result(k, false); !bytes.Equal(sharded, serial) {
+			t.Fatalf("simulated on %d shards:\n%s\nserial:\n%s", k, sharded, serial)
+		}
 	}
 }

@@ -69,9 +69,9 @@ type Config struct {
 	// event loop; N>1 partitions the mesh into N contiguous row bands, each
 	// advancing on its own engine in lookahead-bounded time windows (see
 	// internal/sim ShardGroup and DESIGN.md §14). Sharding changes which
-	// goroutine executes an event but never which events exist; each shard
-	// count is run-to-run deterministic. The Name deliberately does not
-	// mention Shards, so sharded and serial sweeps render comparable tables.
+	// goroutine executes an event, never which events exist or their order:
+	// every shard count gives the serial run's results. The Name does not
+	// mention Shards, and results are shared across shard counts.
 	Shards int
 }
 

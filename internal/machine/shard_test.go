@@ -47,8 +47,10 @@ func shardedConfig(tiles, shards int) Config {
 
 // shardWorkload spawns the canonical mixed workload on every tile: a
 // contended global mutex protecting a non-atomic counter, then barrier
-// phases — both cross every shard boundary through the MSA.
-func shardWorkload(m *Machine, tiles, iters, phases int) (counter memory.Addr) {
+// phases — both cross every shard boundary, through the MSA under HWLib or
+// as same-cycle coherence races at the lock's home directory under
+// PthreadLib.
+func shardWorkload(m *Machine, lib *syncrt.Lib, tiles, iters, phases int) (counter memory.Addr) {
 	arena := syncrt.NewArena(0x100000)
 	lock := arena.Mutex()
 	counter = arena.Data(1)
@@ -57,7 +59,6 @@ func shardWorkload(m *Machine, tiles, iters, phases int) (counter memory.Addr) {
 	for i := range qnodes {
 		qnodes[i] = arena.QNode()
 	}
-	lib := syncrt.HWLib()
 	m.SpawnAll(tiles, func(tid int, e cpu.Env) {
 		rt := lib.Bind(e, qnodes[tid])
 		for i := 0; i < iters; i++ {
@@ -83,10 +84,10 @@ type shardRun struct {
 	syncOps  uint64
 }
 
-func runSharded(t *testing.T, tiles, shards, iters, phases int) shardRun {
+func runSharded(t *testing.T, lib *syncrt.Lib, tiles, shards, iters, phases int) shardRun {
 	t.Helper()
 	m := New(shardedConfig(tiles, shards))
-	counter := shardWorkload(m, tiles, iters, phases)
+	counter := shardWorkload(m, lib, tiles, iters, phases)
 	end, err := m.Run(deadline)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
@@ -99,35 +100,30 @@ func runSharded(t *testing.T, tiles, shards, iters, phases int) shardRun {
 	return shardRun{end, m.Store.Load(counter), string(b), m.SyncOps()}
 }
 
-// TestShardedMachineMatchesSerial is the machine-level equivalence result
-// for tie-free schedules: this workload's component interactions cross
-// tiles through the NoC, whose link-grant order is physical (per-cycle,
-// per-link) rather than event-insertion-order, and never contend on the
-// same cycle, so sharded runs finish on the serial machine's exact cycle
-// with byte-identical merged metrics. This is deliberately a special case:
-// under same-cycle contention the two kernels resolve ties by different
-// (both legal) orders — that divergence is pinned by
-// harness.TestShardedFigureDivergencePinned and explained in DESIGN.md §14.
+// TestShardedMachineMatchesSerial is the machine-level equivalence result:
+// both kernels order events by the same canonical key (DESIGN.md §14), so
+// a sharded run is the serial run — same end cycle, same counter, same sync
+// operations, byte-identical merged metrics — at every shard count. The
+// pthread variant is the contended case (16 threads on one TTS lock, the
+// shape of Fig. 5's LockHandoff), where same-cycle requests race at the
+// lock's home directory from tiles on different shards.
 func TestShardedMachineMatchesSerial(t *testing.T) {
 	const tiles, iters, phases = 16, 6, 4
-	serial := runSharded(t, tiles, 0, iters, phases)
-	if serial.counter != tiles*iters {
-		t.Fatalf("serial counter = %d, want %d", serial.counter, tiles*iters)
-	}
-	for _, k := range []int{1, 2, 4} {
-		got := runSharded(t, tiles, k, iters, phases)
-		if got.counter != tiles*iters {
-			t.Errorf("shards=%d: counter = %d, want %d (mutual exclusion)", k, got.counter, tiles*iters)
+	for _, lib := range []*syncrt.Lib{syncrt.HWLib(), syncrt.PthreadLib()} {
+		serial := runSharded(t, lib, tiles, 0, iters, phases)
+		if serial.counter != tiles*iters {
+			t.Fatalf("%s: serial counter = %d, want %d", lib.Desc(), serial.counter, tiles*iters)
 		}
-		if got.end != serial.end {
-			t.Errorf("shards=%d: finished at cycle %d, serial %d", k, got.end, serial.end)
-		}
-		if got.syncOps != serial.syncOps {
-			t.Errorf("shards=%d: %d sync ops, serial %d", k, got.syncOps, serial.syncOps)
-		}
-		if got.snapshot != serial.snapshot {
-			t.Errorf("shards=%d: metrics snapshot diverges from serial\n sharded: %.300s\n serial:  %.300s",
-				k, got.snapshot, serial.snapshot)
+		for _, k := range []int{1, 2, 4} {
+			got := runSharded(t, lib, tiles, k, iters, phases)
+			if got.end != serial.end || got.counter != serial.counter || got.syncOps != serial.syncOps {
+				t.Errorf("%s shards=%d: end %d counter %d sync ops %d; serial %d, %d, %d", lib.Desc(), k,
+					got.end, got.counter, got.syncOps, serial.end, serial.counter, serial.syncOps)
+			}
+			if got.snapshot != serial.snapshot {
+				t.Errorf("%s shards=%d: metrics snapshot diverges from serial\n sharded: %.300s\n serial:  %.300s",
+					lib.Desc(), k, got.snapshot, serial.snapshot)
+			}
 		}
 	}
 }
@@ -138,17 +134,9 @@ func TestShardedMachineMatchesSerial(t *testing.T) {
 // shard map being sized to the tile count instead of the mesh.
 func TestShardedRaggedMesh(t *testing.T) {
 	const tiles, iters, phases = 8, 4, 3
-	serial := runSharded(t, tiles, 0, iters, phases)
-	got := runSharded(t, tiles, 3, iters, phases)
-	if got.counter != tiles*iters {
-		t.Errorf("counter = %d, want %d (mutual exclusion)", got.counter, tiles*iters)
-	}
-	if got.syncOps != serial.syncOps {
-		t.Errorf("%d sync ops, serial %d", got.syncOps, serial.syncOps)
-	}
-	again := runSharded(t, tiles, 3, iters, phases)
-	if got != again {
-		t.Fatalf("two identical ragged-mesh runs diverged:\n%+v\n%+v", got, again)
+	serial := runSharded(t, syncrt.HWLib(), tiles, 0, iters, phases)
+	if got := runSharded(t, syncrt.HWLib(), tiles, 3, iters, phases); got != serial {
+		t.Fatalf("ragged-mesh run on 3 shards diverged from serial:\n%+v\n%+v", got, serial)
 	}
 }
 
@@ -156,8 +144,8 @@ func TestShardedRaggedMesh(t *testing.T) {
 // twice, at every shard count.
 func TestShardedMachineDeterministic(t *testing.T) {
 	for _, k := range []int{2, 4} {
-		a := runSharded(t, 16, k, 5, 3)
-		b := runSharded(t, 16, k, 5, 3)
+		a := runSharded(t, syncrt.HWLib(), 16, k, 5, 3)
+		b := runSharded(t, syncrt.HWLib(), 16, k, 5, 3)
 		if a != b {
 			t.Fatalf("shards=%d: two identical runs diverged:\n%+v\n%+v", k, a, b)
 		}
@@ -258,7 +246,7 @@ func TestShardedPanicBecomesStructuredError(t *testing.T) {
 // timestamp-ordered dump spanning tiles from different shards.
 func TestShardedFlightEventsMerged(t *testing.T) {
 	m := New(shardedConfig(16, 4))
-	shardWorkload(m, 16, 3, 2)
+	shardWorkload(m, syncrt.HWLib(), 16, 3, 2)
 	if _, err := m.Run(deadline); err != nil {
 		t.Fatal(err)
 	}

@@ -355,7 +355,7 @@ func (n *Network) route(m *Message) {
 	n.minStart[k] = start + 1
 	if start > now {
 		m.net = n
-		n.engine.AtCall(start, routeNowEvent, m)
+		n.engine.AtCall(start, routeNowEvent, m, m.Src)
 		return
 	}
 	n.routeNow(m)
@@ -383,7 +383,7 @@ func (n *Network) routeNow(m *Message) {
 	m.nflits = flits
 
 	if m.Src == m.Dst {
-		n.engineAt(m.Src).AtCall(inject+n.cfg.LocalLatency, deliverMsg, m)
+		n.engineAt(m.Src).AtCall(inject+n.cfg.LocalLatency, deliverMsg, m, m.Src)
 		return
 	}
 	m.at = m.Src
@@ -395,19 +395,20 @@ func (n *Network) routeNow(m *Message) {
 // injection time for the first hop and from hopArrived for the rest, so the
 // head-ready time is always the current cycle.
 func (n *Network) hop(m *Message) {
-	next, dir := n.nextHop(m.at, m.Dst)
+	at := m.at // the hopping router: every event below is posted for it
+	next, dir := n.nextHop(at, m.Dst)
 	// The head must wait for the link to be free, then occupies it for the
 	// message's full flit count.
-	start := n.engineAt(m.at).Now()
-	if free := n.linkFree[m.at][dir]; free > start {
+	start := n.engineAt(at).Now()
+	if free := n.linkFree[at][dir]; free > start {
 		start = free
 	}
-	n.linkFree[m.at][dir] = start + sim.Time(m.nflits)
-	n.linkFlits[m.at][dir] += uint64(m.nflits)
-	n.statsAt(m.at).HopCount++
+	n.linkFree[at][dir] = start + sim.Time(m.nflits)
+	n.linkFlits[at][dir] += uint64(m.nflits)
+	n.statsAt(at).HopCount++
 	arrive := start + n.cfg.RouterLatency + n.cfg.LinkLatency
 	if n.group != nil {
-		if from, to := n.shardOf[m.at], n.shardOf[next]; from != to {
+		if from, to := n.shardOf[at], n.shardOf[next]; from != to {
 			// Boundary hop: hand the message to the owning shard. arrive is
 			// at least now+RouterLatency+LinkLatency >= now+lookahead (the
 			// constraint SetShards enforced), so the post is always
@@ -415,15 +416,15 @@ func (n *Network) hop(m *Message) {
 			// touch m again.
 			m.at = next
 			if n.crossCheck != nil {
-				n.group.Post(from, to, arrive, crossArrived, m)
+				n.group.Post(from, to, arrive, crossArrived, m, at)
 			} else {
-				n.group.Post(from, to, arrive, hopArrived, m)
+				n.group.Post(from, to, arrive, hopArrived, m, at)
 			}
 			return
 		}
 	}
 	m.at = next
-	n.engineAt(m.at).AtCall(arrive, hopArrived, m)
+	n.engineAt(next).AtCall(arrive, hopArrived, m, at)
 }
 
 // crossArrived is hopArrived for boundary-crossing hops on a monitored
@@ -443,7 +444,7 @@ func hopArrived(arg any) {
 	n := m.net
 	if m.at == m.Dst {
 		e := n.engineAt(m.at)
-		e.AtCall(e.Now()+sim.Time(m.nflits-1), deliverMsg, m)
+		e.AtCall(e.Now()+sim.Time(m.nflits-1), deliverMsg, m, m.Dst)
 		return
 	}
 	n.hop(m)

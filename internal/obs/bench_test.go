@@ -38,9 +38,9 @@ func churnLoop(b *testing.B, f *FlightRecorder) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.AfterCall(3, nop, nil)
-		dead := e.AfterCall(5, nop, nil)
-		e.AfterCall(1, nop, nil)
+		e.AfterCall(3, nop, nil, 1)
+		dead := e.AfterCall(5, nop, nil, 2)
+		e.AfterCall(1, nop, nil, 1)
 		dead.Cancel()
 		e.Step()
 		e.Step()

@@ -1,14 +1,14 @@
 // Package sim provides the discrete-event simulation kernel that drives the
-// entire MiSAR model. The kernel maintains a priority queue of events keyed
-// by (time, sequence-number); all components — cores, caches, directories,
-// routers, and the MSA/OMU — schedule work by posting events. Determinism is
-// guaranteed because the kernel is single-threaded and ties on time are
-// broken by insertion order.
+// entire MiSAR model. All components — cores, caches, directories, routers,
+// and the MSA/OMU — schedule work by posting events on behalf of their tile,
+// and the kernel fires them in the canonical order (when, posted, origin,
+// seq), every part of which is known where the event is posted. The sharded
+// kernel (ShardGroup) therefore reproduces the serial order exactly.
 //
 // The kernel is allocation-free in steady state: events live in a free-list
 // pool owned by the engine and are recycled on fire and on cancel, the
 // priority queue is a hand-rolled intrusive 4-ary min-heap specialized to
-// the (when, seq) key (no container/heap, no `any` boxing per operation),
+// the event key (no container/heap, no `any` boxing per operation),
 // and the AtCall/AfterCall entry points let hot schedulers pass a
 // (handler, arg) pair — a package-level function plus a pooled argument —
 // instead of capturing state in a fresh closure per event.
@@ -34,6 +34,7 @@ func closureHandler(arg any) { arg.(func())() }
 // cleared at release so a long-dead timer never pins captured state.
 type event struct {
 	when Time
+	key  uint64 // posted<<16 | origin
 	seq  uint64
 	h    Handler
 	arg  any
@@ -78,7 +79,7 @@ func (h Event) Cancel() {
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*event // intrusive 4-ary min-heap ordered by (when, seq)
+	heap    []*event // intrusive 4-ary min-heap ordered by (when, key, seq)
 	free    []*event // recycled events
 	alloced uint64   // pool high-water mark: events ever allocated
 	stopped bool
@@ -127,11 +128,21 @@ func (e *Engine) release(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// less orders events by (when, seq): earlier cycle first, insertion order
-// within a cycle.
+// machineOrigin is the origin of events posted on behalf of no tile (At,
+// After, and AtCall/AfterCall without an origin). It sorts after every tile
+// posting in the same cycle. Tiles are numbered below it (meshes stop at
+// 1024 routers); schedule's mask keeps a stray value out of the posted bits.
+const machineOrigin = 1<<16 - 1
+
+// less orders events by (when, posted, origin, seq). Posts from different
+// cycles keep their posting order; same-cycle posts for different tiles go
+// by tile, not by which ran first — the one tie a sharded run cannot see.
 func less(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
+	}
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	return a.seq < b.seq
 }
@@ -231,40 +242,50 @@ func (e *Engine) remove(ev *event) {
 	e.release(ev)
 }
 
-// schedule is the common entry point for all four scheduling calls.
-func (e *Engine) schedule(t Time, h Handler, arg any) Event {
+// schedule is the common entry point for all scheduling calls and for
+// mailed cross-shard events, which keep the cycle they were posted in.
+func (e *Engine) schedule(t, posted Time, h Handler, arg any, from []int) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
+	origin := uint64(machineOrigin)
+	if len(from) > 0 {
+		origin = uint64(from[0]) & machineOrigin
+	}
 	ev := e.get()
-	ev.when, ev.seq, ev.h, ev.arg = t, e.seq, h, arg
+	ev.when, ev.key, ev.seq, ev.h, ev.arg = t, uint64(posted)<<16|origin, e.seq, h, arg
 	e.seq++
 	e.push(ev)
 	return Event{eng: e, p: ev, gen: ev.gen, when: t}
 }
 
-// At schedules fn to run at absolute cycle t. Scheduling in the past panics:
-// that is always a model bug. The closure-based form allocates the closure
-// at the caller; allocation-sensitive schedulers should use AtCall.
+// At schedules fn to run at absolute cycle t on behalf of no tile (the
+// machine origin); it is for schedulers outside the model, such as chaos
+// disturbances. Scheduling in the past panics: that is always a model bug.
+// The closure-based form allocates the closure at the caller;
+// allocation-sensitive schedulers should use AtCall.
 func (e *Engine) At(t Time, fn func()) Event {
-	return e.schedule(t, closureHandler, fn)
+	return e.AtCall(t, closureHandler, fn)
 }
 
-// After schedules fn to run d cycles from now.
+// After schedules fn to run d cycles from now, like At.
 func (e *Engine) After(d Time, fn func()) Event {
-	return e.schedule(e.now+d, closureHandler, fn)
+	return e.AfterCall(d, closureHandler, fn)
 }
 
-// AtCall schedules h(arg) at absolute cycle t. With a package-level handler
-// and a pooled pointer argument this is allocation-free: the event comes
-// from the engine's pool and a pointer stored in `any` does not allocate.
-func (e *Engine) AtCall(t Time, h Handler, arg any) Event {
-	return e.schedule(t, h, arg)
+// AtCall schedules h(arg) at absolute cycle t on behalf of tile from, the
+// tile whose component is posting the event; model components always name
+// it. Without it the event has the machine origin, like At. With a
+// package-level handler and a pooled pointer argument this is
+// allocation-free: the event comes from the engine's pool and a pointer
+// stored in `any` does not allocate.
+func (e *Engine) AtCall(t Time, h Handler, arg any, from ...int) Event {
+	return e.schedule(t, e.now, h, arg, from)
 }
 
-// AfterCall schedules h(arg) to run d cycles from now.
-func (e *Engine) AfterCall(d Time, h Handler, arg any) Event {
-	return e.schedule(e.now+d, h, arg)
+// AfterCall schedules h(arg) to run d cycles from now, like AtCall.
+func (e *Engine) AfterCall(d Time, h Handler, arg any, from ...int) Event {
+	return e.schedule(e.now+d, e.now, h, arg, from)
 }
 
 // Stop makes Run (and Step, and RunUntil) return after the current event

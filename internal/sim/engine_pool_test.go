@@ -297,10 +297,11 @@ func BenchmarkEngineChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Two schedules, one cancel, two fires: exercises push, remove, and
-		// popMin against the free list every iteration.
-		e.AfterCall(3, nop, nil)
-		dead := e.AfterCall(5, nop, nil)
-		e.AfterCall(1, nop, nil)
+		// popMin against the free list every iteration, with origins as model
+		// components pass them.
+		e.AfterCall(3, nop, nil, 1)
+		dead := e.AfterCall(5, nop, nil, 2)
+		e.AfterCall(1, nop, nil, 1)
 		dead.Cancel()
 		e.Step()
 		e.Step()

@@ -16,39 +16,30 @@
 //     goroutines interleave. (internal/verify's "shard-window" model checks
 //     exactly this invariant and refutes the variant that skips the drain.)
 //
-// Determinism: each engine is only ever advanced by one goroutine at a
-// time, windows are separated by barriers, and mailed events are injected
-// in the total order (delivery time, source shard, per-source sequence), so
-// a sharded run is a pure function of (configuration, shard count). It is
-// NOT guaranteed to be event-order identical to the serial kernel: the
-// serial kernel breaks same-cycle ties by global scheduling order, which a
-// parallel run cannot observe. See DESIGN.md §14 for the pinned divergence.
+// Determinism: each engine is advanced by one goroutine at a time, windows
+// are separated by barriers, and every event carries the canonical key
+// (when, posted, origin, seq) its poster computed. All posts for one origin
+// tile come from the shard owning it, in the order that shard ran them, so
+// each engine fires its events in the serial kernel's order and a sharded
+// run is event-for-event the serial run (DESIGN.md §14).
 package sim
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync/atomic"
 	"time"
 )
 
 // crossMsg is one cross-shard event in flight: h(arg) must run on the
-// destination engine at absolute cycle when.
+// destination engine at absolute cycle when, keyed by the cycle it was
+// posted in and the tile it was posted for.
 type crossMsg struct {
-	when Time
-	h    Handler
-	arg  any
-}
-
-// crossRef is a mailed event plus its deterministic injection key.
-type crossRef struct {
-	when Time
-	src  int32 // source shard
-	idx  int32 // per-(src,dst) send sequence within the window
-	h    Handler
-	arg  any
+	when, posted Time
+	from         int
+	h            Handler
+	arg          any
 }
 
 // ShardPanic wraps a panic raised by a component while a shard executed a
@@ -88,9 +79,6 @@ type ShardGroup struct {
 	// postedBy[src] counts messages ever mailed by src (src-owned slot).
 	postedBy []uint64
 
-	// scratch[dst] is shard dst's reusable injection sort buffer.
-	scratch [][]crossRef
-
 	// Window barrier: the coordinator publishes windowEnd and bumps epoch
 	// to release the workers; each worker executes its shard's window and
 	// increments done.
@@ -120,7 +108,6 @@ func NewShardGroup(shards int, lookahead Time) *ShardGroup {
 		engines:   make([]*Engine, shards),
 		lookahead: lookahead,
 		postedBy:  make([]uint64, shards),
-		scratch:   make([][]crossRef, shards),
 		panics:    make([]*ShardPanic, shards),
 	}
 	g.mail[0] = make([][]crossMsg, shards*shards)
@@ -182,60 +169,42 @@ func (g *ShardGroup) MaxNow() Time {
 	return t
 }
 
-// Post schedules h(arg) at absolute cycle when on shard dst's engine. It
-// must be called from code executing on shard src's engine (i.e. inside an
-// event of the current window). Cross-shard sends must respect the
+// Post schedules h(arg) at absolute cycle when on shard dst's engine, on
+// behalf of tile from, a tile of shard src; it must be called from an event
+// of the current window on src's engine. Cross-shard sends must respect the
 // lookahead: when < src.now + lookahead is a model bug and panics, because
 // the destination may already have executed past when. Same-shard posts
 // degenerate to a local AtCall.
-func (g *ShardGroup) Post(src, dst int, when Time, h Handler, arg any) {
+func (g *ShardGroup) Post(src, dst int, when Time, h Handler, arg any, from int) {
+	e := g.engines[src]
 	if src == dst {
-		g.engines[src].AtCall(when, h, arg)
+		e.AtCall(when, h, arg, from)
 		return
 	}
-	if now := g.engines[src].now; when < now+g.lookahead {
+	if when < e.now+g.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard post %d->%d at %d violates lookahead %d (src now %d)",
-			src, dst, when, g.lookahead, now))
+			src, dst, when, g.lookahead, e.now))
 	}
 	k := src*len(g.engines) + dst
-	g.mail[g.fill][k] = append(g.mail[g.fill][k], crossMsg{when: when, h: h, arg: arg})
+	g.mail[g.fill][k] = append(g.mail[g.fill][k], crossMsg{when: when, posted: e.now, from: from, h: h, arg: arg})
 	g.postedBy[src]++
 }
 
 // inject drains every quiescent-side mailbox destined to shard dst into its
-// engine, in the deterministic total order (when, source shard, per-source
-// sequence). Runs on shard dst's goroutine at the start of a window.
+// engine. Runs on shard dst's goroutine at the start of a window. No sort is
+// needed: each event carries its key, and events that tie on (when, posted,
+// origin) share a source shard and sit in its mailbox in posting order.
 func (g *ShardGroup) inject(dst int) {
 	k := len(g.engines)
 	side := g.mail[g.fill^1]
-	buf := g.scratch[dst][:0]
 	for src := 0; src < k; src++ {
 		box := side[src*k+dst]
-		if len(box) == 0 {
-			continue
-		}
 		for i, m := range box {
-			buf = append(buf, crossRef{when: m.when, src: int32(src), idx: int32(i), h: m.h, arg: m.arg})
+			g.engines[dst].schedule(m.when, m.posted, m.h, m.arg, []int{m.from})
 			box[i] = crossMsg{} // drop references so pooled args never pin
 		}
 		side[src*k+dst] = box[:0]
 	}
-	if len(buf) > 1 {
-		sort.Slice(buf, func(a, b int) bool {
-			if buf[a].when != buf[b].when {
-				return buf[a].when < buf[b].when
-			}
-			if buf[a].src != buf[b].src {
-				return buf[a].src < buf[b].src
-			}
-			return buf[a].idx < buf[b].idx
-		})
-	}
-	for i := range buf {
-		g.engines[dst].AtCall(buf[i].when, buf[i].h, buf[i].arg)
-		buf[i] = crossRef{}
-	}
-	g.scratch[dst] = buf[:0]
 }
 
 // runWindow executes shard s's slice of the current window: deliver inbound

@@ -793,7 +793,7 @@ func TestBridgeWindowProtocol(t *testing.T) {
 		check.ShardDelivery(1, now) // the runtime shadow of "straggler"
 	}
 	post := func(when sim.Time) func() {
-		return func() { led.posts++; g.Post(0, 1, when, onDeliver, when) }
+		return func() { led.posts++; g.Post(0, 1, when, onDeliver, when, 0) }
 	}
 
 	// Window 0: sender execs at 0,1 and posts at 2 (delivery 2+3=5);
