@@ -13,14 +13,12 @@
 // Observability (DESIGN.md §13): requests are traced end to end via the
 // X-Misar-Trace header (GET /v1/jobs/{id}/trace serves the spans as a
 // Chrome trace), finished jobs expose their machine's flight-recorder
-// ring at GET /v1/jobs/{id}/flight, GET /v1/timeseries samples queue
-// depth / in-flight / store hit-rate, structured JSON logs go to stderr
+// ring at GET /v1/jobs/{id}/flight, /metrics exposes queue depth,
+// simulations in flight and store hits, structured JSON logs go to stderr
 // (-log), and /debug/pprof/ serves live profiles and runtime traces.
 //
-// Overload (DESIGN.md §11): a full queue answers 429 with a Retry-After
-// derived from the recent drain rate; batch-priority jobs are shed at half
-// occupancy and each tenant may hold a quarter of the queue, so interactive
-// work keeps a slot.
+// Overload (DESIGN.md §11): admission has one rule, the -queue bound on
+// unfinished jobs. A full queue answers 429 with Retry-After: 1.
 //
 // On SIGINT/SIGTERM the server drains: admission stops (503), accepted jobs
 // finish and persist, then the process exits 0. A second signal — or an
@@ -51,7 +49,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job wall-clock cap (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "graceful drain deadline on SIGTERM")
 	logReq := flag.Bool("log", true, "structured request/job logging (JSON lines on stderr, tagged with trace IDs)")
-	sampleInterval := flag.Duration("sample-interval", 5*time.Second, "live-telemetry sampling cadence (/v1/timeseries)")
 	flag.Parse()
 
 	var logger *slog.Logger
@@ -66,7 +63,6 @@ func main() {
 		Heartbeat:      *heartbeat,
 		DefaultTimeout: *jobTimeout,
 		Logger:         logger,
-		SampleInterval: *sampleInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "misar-served:", err)

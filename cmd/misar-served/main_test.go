@@ -40,9 +40,8 @@ func freePort(t *testing.T) int {
 	return l.Addr().(*net.TCPAddr).Port
 }
 
-// Overload must answer fast — a 429 with an honest Retry-After — never hang
-// the client into a timeout. This is the degradation ladder's bottom rung,
-// exercised against a real process.
+// Overload must answer fast — a 429 with a Retry-After — never hang the
+// client into a timeout, exercised against a real process.
 func TestOverloadDegradesToFast429(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary; skipped in -short")
@@ -94,13 +93,11 @@ func TestOverloadDegradesToFast429(t *testing.T) {
 		t.Fatalf("second fill got %d", c2)
 	}
 
-	// Flood with batch jobs: every rejection must land fast, as a 429 with
+	// Flood with plain jobs: every rejection must land fast, as a 429 with
 	// a Retry-After — not dangle until a client timeout.
 	var rejected int
 	for i := 0; i < 20; i++ {
-		req := slow(32 + i)
-		req.Priority = service.PriorityBatch
-		body, _ := json.Marshal(req)
+		body, _ := json.Marshal(slow(32 + i))
 		start := time.Now()
 		hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		hreq, _ := http.NewRequestWithContext(hctx, http.MethodPost, url+"/v1/jobs?wait=0", bytes.NewReader(body))
@@ -127,5 +124,5 @@ func TestOverloadDegradesToFast429(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("overload never produced a 429; queue should have been saturated")
 	}
-	t.Logf("flood: %d/20 batch submissions shed with fast 429s", rejected)
+	t.Logf("flood: %d/20 submissions refused with fast 429s", rejected)
 }

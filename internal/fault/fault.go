@@ -16,7 +16,6 @@ package fault
 import (
 	"fmt"
 
-	"misar/internal/metrics"
 	"misar/internal/sim"
 )
 
@@ -143,15 +142,6 @@ func (c Counts) String() string {
 		c.Steers, c.CapSteals, c.Evicts, c.AckDelays, c.Jitters, c.CohDelays, c.TMAborts, c.DelayCycles)
 }
 
-// injMetrics are the optional registry counters, one per site. Nil-safe like
-// every instrument: resolved once at attach, recorded unconditionally.
-type injMetrics struct {
-	steers, capSteals, evicts     *metrics.Counter
-	ackDelays, jitters, cohDelays *metrics.Counter
-	tmAborts                      *metrics.Counter
-	delayCycles                   *metrics.Counter
-}
-
 // Injector makes the fault decisions. All methods are nil-receiver-safe: a
 // nil *Injector never fires, so hook sites cost one comparison. A non-nil
 // Injector is only ever used from the (single-threaded) simulation event
@@ -160,7 +150,6 @@ type Injector struct {
 	plan   Plan
 	rng    uint64
 	counts Counts
-	met    injMetrics
 }
 
 // New builds an injector for the plan. Returns a ready injector even for a
@@ -170,24 +159,6 @@ func New(p Plan) *Injector {
 	// splitmix64 recommends a non-zero odd-ish stream start; mixing the seed
 	// once decorrelates small consecutive seeds.
 	return &Injector{plan: p, rng: mix64(p.Seed ^ 0x9E3779B97F4A7C15)}
-}
-
-// AttachMetrics resolves the per-site counters under "fault.*". Safe on a
-// nil injector or nil registry.
-func (i *Injector) AttachMetrics(reg *metrics.Registry) {
-	if i == nil || reg == nil {
-		return
-	}
-	i.met = injMetrics{
-		steers:      reg.Counter("fault.forced_steers"),
-		capSteals:   reg.Counter("fault.capacity_steals"),
-		evicts:      reg.Counter("fault.forced_evicts"),
-		ackDelays:   reg.Counter("fault.ack_delays"),
-		jitters:     reg.Counter("fault.noc_jitters"),
-		cohDelays:   reg.Counter("fault.coh_delays"),
-		tmAborts:    reg.Counter("fault.tm_aborts"),
-		delayCycles: reg.Counter("fault.delay_cycles"),
-	}
 }
 
 // Plan returns the plan the injector was built with (zero Plan when nil).
@@ -241,7 +212,6 @@ func (i *Injector) delay(rate, max uint32) sim.Time {
 	}
 	d := sim.Time(1 + i.next()%uint64(max))
 	i.counts.DelayCycles += uint64(d)
-	i.met.delayCycles.Add(uint64(d))
 	return d
 }
 
@@ -252,7 +222,6 @@ func (i *Injector) ForceSteer() bool {
 		return false
 	}
 	i.counts.Steers++
-	i.met.steers.Inc()
 	return true
 }
 
@@ -263,7 +232,6 @@ func (i *Injector) ForceCapacitySteer() bool {
 		return false
 	}
 	i.counts.CapSteals++
-	i.met.capSteals.Inc()
 	return true
 }
 
@@ -275,7 +243,6 @@ func (i *Injector) ForceEvict() bool {
 		return false
 	}
 	i.counts.Evicts++
-	i.met.evicts.Inc()
 	return true
 }
 
@@ -288,7 +255,6 @@ func (i *Injector) AckDelay() sim.Time {
 	d := i.delay(i.plan.AckRate, i.plan.AckMax)
 	if d > 0 {
 		i.counts.AckDelays++
-		i.met.ackDelays.Inc()
 	}
 	return d
 }
@@ -303,7 +269,6 @@ func (i *Injector) MsgDelay(src, dst int) sim.Time {
 	d := i.delay(i.plan.NoCRate, i.plan.NoCMax)
 	if d > 0 {
 		i.counts.Jitters++
-		i.met.jitters.Inc()
 	}
 	return d
 }
@@ -319,7 +284,6 @@ func (i *Injector) ForceTMAbort() bool {
 		return false
 	}
 	i.counts.TMAborts++
-	i.met.tmAborts.Inc()
 	return true
 }
 
@@ -332,7 +296,6 @@ func (i *Injector) CohDelay() sim.Time {
 	d := i.delay(i.plan.CohRate, i.plan.CohMax)
 	if d > 0 {
 		i.counts.CohDelays++
-		i.met.cohDelays.Inc()
 	}
 	return d
 }

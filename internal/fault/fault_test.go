@@ -3,15 +3,12 @@ package fault
 import (
 	"strings"
 	"testing"
-
-	"misar/internal/metrics"
 )
 
 // TestNilInjectorIsInert pins the hook contract every wired component relies
 // on: all decision methods on a nil *Injector are safe no-ops.
 func TestNilInjectorIsInert(t *testing.T) {
 	var i *Injector
-	i.AttachMetrics(metrics.NewRegistry())
 	if i.ForceSteer() || i.ForceCapacitySteer() || i.ForceEvict() {
 		t.Error("nil injector forced a fault")
 	}
@@ -143,19 +140,6 @@ func TestAlwaysFireRates(t *testing.T) {
 	}
 	if c.DelayCycles == 0 {
 		t.Fatal("delay cycles not accumulated")
-	}
-}
-
-// TestInjectorMetrics: firing sites shows up in the attached registry.
-func TestInjectorMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	i := New(Plan{Seed: 9, SteerRate: 65536})
-	i.AttachMetrics(reg)
-	for n := 0; n < 5; n++ {
-		i.ForceSteer()
-	}
-	if v := reg.Counter("fault.forced_steers").Value(); v != 5 {
-		t.Fatalf("fault.forced_steers = %d, want 5", v)
 	}
 }
 

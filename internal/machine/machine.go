@@ -492,7 +492,6 @@ func New(cfg Config) *Machine {
 		for i, c := range m.Cores {
 			c.SetMetrics(m.regs[m.ShardOf(i)])
 		}
-		m.Injector.AttachMetrics(m.Metrics)
 		// The checker's violation counter lives in shard 0's registry; its
 		// increments happen under the checker lock in sharded mode.
 		m.Checker.AttachMetrics(m.Metrics)
@@ -652,6 +651,19 @@ func (m *Machine) collectMetrics() {
 	}
 
 	r.Gauge("sim.cycles").Observe(uint64(m.Now()))
+
+	// Injected faults, per site, from the injector's own tally.
+	if m.Injector != nil {
+		fc := m.Injector.Counts()
+		r.Counter("fault.forced_steers").Add(fc.Steers)
+		r.Counter("fault.capacity_steals").Add(fc.CapSteals)
+		r.Counter("fault.forced_evicts").Add(fc.Evicts)
+		r.Counter("fault.ack_delays").Add(fc.AckDelays)
+		r.Counter("fault.noc_jitters").Add(fc.Jitters)
+		r.Counter("fault.coh_delays").Add(fc.CohDelays)
+		r.Counter("fault.tm_aborts").Add(fc.TMAborts)
+		r.Counter("fault.delay_cycles").Add(fc.DelayCycles)
+	}
 
 	// MSA operation mix (machine totals; per-tile entry/steer counters are
 	// recorded inline by the slices).

@@ -51,8 +51,8 @@ func decodeError(resp *http.Response) error {
 	return &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body)), RetryAfter: ra}
 }
 
-// APIError is a non-2xx response from the server. A 429 carries the
-// server's queue-derived Retry-After, in whole seconds, as the raw header.
+// APIError is a non-2xx response from the server. A 429 (queue full)
+// carries the server's Retry-After, in whole seconds, as the raw header.
 type APIError struct {
 	Status     int
 	Message    string

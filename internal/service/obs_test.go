@@ -352,34 +352,3 @@ func TestJobTraceEndpoint(t *testing.T) {
 		t.Fatal("empty chrome trace")
 	}
 }
-
-// TestTimeseriesEndpoint: the sampler fills the ring and /v1/timeseries
-// serves it with a live "current" sample.
-func TestTimeseriesEndpoint(t *testing.T) {
-	_, hs, c := newServer(t, service.Options{Workers: 1, SampleInterval: 20 * time.Millisecond})
-	if _, err := c.Submit(context.Background(), quickJob(), nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(80 * time.Millisecond) // let a few samples land
-
-	var ts struct {
-		IntervalMS int64            `json:"interval_ms"`
-		Current    map[string]any   `json:"current"`
-		Samples    []map[string]any `json:"samples"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, hs.URL+"/v1/timeseries")), &ts); err != nil {
-		t.Fatal(err)
-	}
-	if ts.IntervalMS != 20 {
-		t.Errorf("interval_ms = %d, want 20", ts.IntervalMS)
-	}
-	if len(ts.Samples) == 0 {
-		t.Error("no samples recorded by the sampler")
-	}
-	if got := ts.Current["jobs_accepted_total"].(float64); got < 1 {
-		t.Errorf("current sample accepted = %v, want >= 1", got)
-	}
-	if _, ok := ts.Current["hit_ratio"]; !ok {
-		t.Error("current sample missing hit_ratio")
-	}
-}

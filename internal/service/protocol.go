@@ -14,14 +14,6 @@ import (
 // always echoes the effective ID in the same header.
 const TraceHeader = "X-Misar-Trace"
 
-// TenantHeader identifies the submitting tenant for per-tenant admission
-// quotas. A tenant may hold at most Options.TenantQuota unfinished jobs;
-// submissions beyond that are refused with 429 + Retry-After even while the
-// shared queue has room, so one chatty client cannot monopolize it.
-// Requests without the header are anonymous and subject only to the shared
-// queue limit.
-const TenantHeader = "X-Misar-Tenant"
-
 // JobRequest describes one simulation to run.
 type JobRequest struct {
 	// Kind selects the experiment type: "app" (default) runs a full
@@ -47,18 +39,7 @@ type JobRequest struct {
 	// TimeoutMS bounds the job's wall-clock execution; 0 means no per-job
 	// deadline beyond the server's configured default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Priority classes the job for admission: "interactive" (the default)
-	// may fill the whole queue; "batch" is shed with a fast 429 once the
-	// queue passes half occupancy, so background sweeps degrade before they
-	// can starve interactive work (the overload ladder, DESIGN.md §11).
-	Priority string `json:"priority,omitempty"`
 }
-
-// Admission priority classes.
-const (
-	PriorityInteractive = "interactive"
-	PriorityBatch       = "batch"
-)
 
 // JobEvent is one line of a job's NDJSON stream.
 type JobEvent struct {
@@ -103,23 +84,13 @@ type Health struct {
 	Status string `json:"status"` // "ok" or "draining"
 	// Draining mirrors Status == "draining" as a boolean, so health probes
 	// need no string comparison to gate traffic away.
-	Draining   bool `json:"draining"`
-	InFlight   int  `json:"in_flight"`
-	QueueDepth int  `json:"queue_depth"` // occupied queue slots (== InFlight)
-	QueueFree  int  `json:"queue_free"`  // slots before admission refuses
-	QueueLimit int  `json:"queue_limit"`
-	// BatchLimit is the occupancy beyond which batch-priority jobs are shed.
-	BatchLimit int `json:"batch_limit"`
-	// TenantQuota is the per-tenant unfinished-job cap (TenantHeader);
-	// Tenants counts tenants currently holding at least one queue slot.
-	TenantQuota int    `json:"tenant_quota"`
-	Tenants     int    `json:"tenants"`
-	Accepted    uint64 `json:"jobs_accepted_total"`
-	UptimeMS    int64  `json:"uptime_ms"`
-	// RetryAfterS is the backoff hint a refused client would receive right
-	// now: queue depth over the recent drain rate, clamped to [1, 30]
-	// seconds. Load balancers can read it to steer away before the 429.
-	RetryAfterS int `json:"retry_after_s"`
+	Draining   bool   `json:"draining"`
+	InFlight   int    `json:"in_flight"`
+	QueueDepth int    `json:"queue_depth"` // occupied queue slots (== InFlight)
+	QueueFree  int    `json:"queue_free"`  // slots before admission refuses
+	QueueLimit int    `json:"queue_limit"`
+	Accepted   uint64 `json:"jobs_accepted_total"`
+	UptimeMS   int64  `json:"uptime_ms"`
 }
 
 // apiError is the JSON body of every non-2xx response.

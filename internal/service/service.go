@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -50,14 +49,8 @@ type Options struct {
 	// Workers is the simulation worker-pool size; < 1 means GOMAXPROCS.
 	Workers int
 	// QueueLimit bounds admitted-but-unfinished jobs; < 1 means 64.
-	// Admission beyond the limit is refused with 429 + Retry-After.
+	// Admission beyond the limit is refused with 429 + Retry-After: 1.
 	QueueLimit int
-	// TenantQuota bounds the unfinished jobs any single tenant (the
-	// TenantHeader value) may hold; over-quota submissions are refused
-	// with 429 + Retry-After while other tenants still admit normally.
-	// Anonymous requests (no header) are exempt — they contend only for
-	// the shared queue. < 1 means a quarter of QueueLimit, at least 1.
-	TenantQuota int
 	// StoreDir roots the persistent result store; "" disables persistence
 	// (memo cache only).
 	StoreDir string
@@ -69,10 +62,6 @@ type Options struct {
 	// Logger receives structured request and job-lifecycle logs, each line
 	// tagged with the job's trace ID; nil disables logging.
 	Logger *slog.Logger
-	// SampleInterval is the live-telemetry sampling cadence (queue depth,
-	// in-flight jobs, store hit ratio into the /v1/timeseries ring);
-	// <= 0 means 5s.
-	SampleInterval time.Duration
 	// StreamWriteTimeout bounds each write on a job's NDJSON stream. A
 	// consumer that cannot drain a write within this budget is disconnected
 	// (the job itself is unaffected), so one stalled client can never pin a
@@ -87,17 +76,8 @@ func (o Options) withDefaults() Options {
 	if o.QueueLimit < 1 {
 		o.QueueLimit = 64
 	}
-	if o.TenantQuota < 1 {
-		o.TenantQuota = o.QueueLimit / 4
-		if o.TenantQuota < 1 {
-			o.TenantQuota = 1
-		}
-	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 500 * time.Millisecond
-	}
-	if o.SampleInterval <= 0 {
-		o.SampleInterval = 5 * time.Second
 	}
 	if o.StreamWriteTimeout <= 0 {
 		o.StreamWriteTimeout = 30 * time.Second
@@ -114,7 +94,6 @@ type Server struct {
 	start  time.Time
 	log    *slog.Logger  // nil disables logging
 	spans  *obs.Recorder // server-side wall-clock span ring
-	ts     *timeseries   // live telemetry sample ring
 
 	baseCtx context.Context // parent of every job; cancelled by Close
 	stop    context.CancelFunc
@@ -130,18 +109,11 @@ type Server struct {
 	jobs     map[string]*Job
 	finished []string // finished job IDs in completion order, for pruning
 	nextID   uint64
-	admitted int            // accepted, not yet finished
-	tenants  map[string]int // unfinished jobs per tenant (TenantHeader)
+	admitted int // accepted, not yet finished
 	accepted uint64
 	draining bool
-	drains   []time.Time    // completion times of the last reaps, for Retry-After
 	wg       sync.WaitGroup // one per admitted job
 }
-
-// drainWindow bounds the completion-time history behind the Retry-After
-// estimate: enough reaps to smooth burstiness, few enough that the rate
-// tracks the last seconds of behavior, not ancient history.
-const drainWindow = 32
 
 // keepFinished bounds how many completed job records stay queryable; older
 // ones are pruned so a long-running server's job table cannot grow without
@@ -157,7 +129,6 @@ type Job struct {
 	cancel context.CancelFunc
 	run    *harness.Run
 	start  time.Time
-	tenant string        // TenantHeader value at admission; "" = anonymous
 	done   chan struct{} // closed after the fields below are final
 
 	// Written by reap before close(done); read only after <-done.
@@ -173,14 +144,12 @@ type Job struct {
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
-		opt:     opt,
-		start:   time.Now(),
-		log:     opt.Logger,
-		reg:     metrics.NewRegistry(),
-		spans:   obs.NewRecorder(0),
-		ts:      newTimeseries(timeseriesCapacity),
-		jobs:    make(map[string]*Job),
-		tenants: make(map[string]int),
+		opt:   opt,
+		start: time.Now(),
+		log:   opt.Logger,
+		reg:   metrics.NewRegistry(),
+		spans: obs.NewRecorder(0),
+		jobs:  make(map[string]*Job),
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.runner = harness.NewRunner(opt.Workers)
@@ -203,7 +172,6 @@ func New(opt Options) (*Server, error) {
 	mux.Handle("DELETE /v1/jobs/{id}", s.instrument("jobs_cancel", s.handleJobCancel))
 	mux.Handle("GET /v1/jobs/{id}/flight", s.instrument("jobs_flight", s.handleJobFlight))
 	mux.Handle("GET /v1/jobs/{id}/trace", s.instrument("jobs_trace", s.handleJobTrace))
-	mux.Handle("GET /v1/timeseries", s.instrument("timeseries", s.handleTimeseries))
 	// Profiling and runtime tracing, mounted explicitly (no blanket
 	// DefaultServeMux import): /debug/pprof/profile?seconds=N captures a CPU
 	// profile of a live server, /debug/pprof/trace?seconds=N a runtime
@@ -214,7 +182,6 @@ func New(opt Options) (*Server, error) {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	s.mux = mux
-	go s.sampleLoop()
 	return s, nil
 }
 
@@ -263,51 +230,6 @@ func (s *Server) Close() {
 	s.draining = true
 	s.mu.Unlock()
 	s.stop()
-}
-
-// batchLimit is the queue occupancy beyond which batch-priority jobs are
-// refused: half the queue (at least one slot), reserving the rest for
-// interactive work. This is the first rung of the overload ladder — batch
-// degrades to fast 429s while interactive admission is still healthy.
-func (s *Server) batchLimit() int {
-	l := s.opt.QueueLimit / 2
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-// retryAfterSeconds estimates how long a refused client should wait for the
-// queue to drain enough to admit it: current depth divided by the recent
-// drain rate (reaps in the window spanned by the last drainWindow
-// completions, measured up to now so a stalled server's estimate grows),
-// clamped to [1, 30] seconds. Before any job has drained the floor applies —
-// there is no evidence the server is slow, only that it is momentarily full.
-func (s *Server) retryAfterSeconds() int {
-	s.mu.Lock()
-	depth := s.admitted
-	var oldest time.Time
-	n := len(s.drains)
-	if n > 0 {
-		oldest = s.drains[0]
-	}
-	s.mu.Unlock()
-	if n == 0 || depth == 0 {
-		return 1
-	}
-	window := time.Since(oldest)
-	if window <= 0 {
-		return 1
-	}
-	rate := float64(n) / window.Seconds() // completions per second
-	secs := int(float64(depth)/rate + 0.5)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
 }
 
 // inc bumps a serving-side counter under the metrics lock.
@@ -397,16 +319,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	h := Health{
-		Status:      "ok",
-		InFlight:    s.admitted,
-		QueueDepth:  s.admitted,
-		QueueFree:   s.opt.QueueLimit - s.admitted,
-		QueueLimit:  s.opt.QueueLimit,
-		BatchLimit:  s.batchLimit(),
-		TenantQuota: s.opt.TenantQuota,
-		Tenants:     len(s.tenants),
-		Accepted:    s.accepted,
-		UptimeMS:    time.Since(s.start).Milliseconds(),
+		Status:     "ok",
+		InFlight:   s.admitted,
+		QueueDepth: s.admitted,
+		QueueFree:  s.opt.QueueLimit - s.admitted,
+		QueueLimit: s.opt.QueueLimit,
+		Accepted:   s.accepted,
+		UptimeMS:   time.Since(s.start).Milliseconds(),
 	}
 	if s.draining {
 		h.Status = "draining"
@@ -416,7 +335,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if h.QueueFree < 0 {
 		h.QueueFree = 0
 	}
-	h.RetryAfterS = s.retryAfterSeconds()
 	writeJSON(w, http.StatusOK, h)
 }
 
@@ -450,9 +368,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "misar_cache_hit_ratio %.6f\n", hit)
 	}
 	fmt.Fprintf(w, "misar_serve_draining %d\n", draining)
-	fmt.Fprintf(w, "misar_serve_inflight %d\n", rs.Unique-rs.Done)
 	fmt.Fprintf(w, "misar_serve_queue_limit %d\n", s.opt.QueueLimit)
-	fmt.Fprintf(w, "misar_serve_tenant_quota %d\n", s.opt.TenantQuota)
 	if s.store != nil {
 		ss := s.store.Stats()
 		fmt.Fprintf(w, "misar_store_evictions %d\n", ss.Evictions)
@@ -466,11 +382,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // validation happens before admission, so a malformed request never
 // occupies a queue slot.
 func buildSubmit(req *JobRequest) (label string, submit func(context.Context, *harness.Runner) *harness.Run, err error) {
-	switch req.Priority {
-	case "", PriorityInteractive, PriorityBatch:
-	default:
-		return "", nil, fmt.Errorf("unknown priority %q (want %q or %q)", req.Priority, PriorityInteractive, PriorityBatch)
-	}
 	cfg, libf, err := harness.Variant(req.Config, req.Tiles)
 	if err != nil {
 		return "", nil, err
@@ -563,46 +474,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining"})
 		return
 	}
-	// Priority-classed admission: batch fills only half the queue, so an
-	// overload of background work degrades to fast 429s while interactive
-	// slots remain. The Retry-After is derived from the live drain rate —
-	// a saturated-but-draining server answers with an honest estimate
-	// instead of a hardcoded second.
-	limit := s.opt.QueueLimit
-	if req.Priority == PriorityBatch {
-		limit = s.batchLimit()
-	}
-	if s.admitted >= limit {
-		shedBatch := req.Priority == PriorityBatch && s.admitted < s.opt.QueueLimit
+	if s.admitted >= s.opt.QueueLimit {
 		s.mu.Unlock()
 		cancel()
 		s.inc("serve.jobs_rejected_queue_full")
-		msg := "queue full"
-		if shedBatch {
-			s.inc("serve.jobs_shed_batch")
-			msg = "queue beyond batch occupancy limit"
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: msg})
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, apiError{Error: "queue full"})
 		return
-	}
-	// Per-tenant quota: a single identified tenant may hold at most
-	// TenantQuota unfinished jobs, so one chatty client degrades alone
-	// while the rest of the queue stays admittable. Checked after the
-	// global limit — a full queue is the more honest answer when both
-	// apply — and skipped for anonymous requests.
-	tenant := r.Header.Get(TenantHeader)
-	if tenant != "" && s.tenants[tenant] >= s.opt.TenantQuota {
-		s.mu.Unlock()
-		cancel()
-		s.inc("serve.queue.tenant_rejects")
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, apiError{
-			Error: fmt.Sprintf("tenant %q over quota (%d unfinished jobs)", tenant, s.opt.TenantQuota)})
-		return
-	}
-	if tenant != "" {
-		s.tenants[tenant]++
 	}
 	s.admitted++
 	s.accepted++
@@ -614,7 +492,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Trace:  traceID,
 		cancel: cancel,
 		start:  time.Now(),
-		tenant: tenant,
 		done:   make(chan struct{}),
 	}
 	s.jobs[job.ID] = job
@@ -683,16 +560,7 @@ func (s *Server) reap(job *Job) {
 
 	s.mu.Lock()
 	s.admitted--
-	if job.tenant != "" {
-		if s.tenants[job.tenant]--; s.tenants[job.tenant] <= 0 {
-			delete(s.tenants, job.tenant)
-		}
-	}
 	depth := s.admitted
-	s.drains = append(s.drains, time.Now())
-	if len(s.drains) > drainWindow {
-		s.drains = s.drains[len(s.drains)-drainWindow:]
-	}
 	s.finished = append(s.finished, job.ID)
 	for len(s.finished) > keepFinished {
 		delete(s.jobs, s.finished[0])

@@ -156,8 +156,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 		switch code3 {
 		case http.StatusTooManyRequests:
 			bounced = true
-			if hdr.Get("Retry-After") == "" {
-				t.Error("429 without Retry-After")
+			if got := hdr.Get("Retry-After"); got != "1" {
+				t.Errorf("429 Retry-After = %q, want \"1\"", got)
 			}
 		case http.StatusAccepted:
 			t.Logf("attempt %d: queue drained before third submission, retrying", attempt/3)
@@ -412,93 +412,26 @@ func TestHeartbeats(t *testing.T) {
 	}
 }
 
-// Batch jobs are shed at half queue occupancy while interactive jobs still
-// admit — the first rung of the overload ladder.
-func TestBatchShedBeforeInteractive(t *testing.T) {
-	_, hs, c := newServer(t, service.Options{Workers: 1, QueueLimit: 4})
-
-	// Occupy half the queue (the batch limit) with slow interactive jobs,
-	// then a batch job must bounce while an interactive one still admits.
-	// Real simulations can drain early on a loaded machine; retry with
-	// fresh tile counts until the window is observed.
-	tiles := []int{32, 48, 64, 16, 24, 40}
-	observed := false
-	for attempt := 0; attempt+1 < len(tiles) && !observed; attempt += 2 {
-		waitQueueEmpty(t, c)
-		id1, code1, _ := asyncSubmit(t, hs.URL, slowJob(tiles[attempt]))
-		id2, code2, _ := asyncSubmit(t, hs.URL, slowJob(tiles[attempt+1]))
-		if code1 != http.StatusAccepted || code2 != http.StatusAccepted {
-			t.Fatalf("setup submissions: %d, %d", code1, code2)
-		}
-
-		batch := slowJob(56)
-		batch.Priority = service.PriorityBatch
-		body, _ := json.Marshal(batch)
-		resp, err := http.Post(hs.URL+"/v1/jobs?wait=0", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&apiErr)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusTooManyRequests:
-			observed = true
-			if !strings.Contains(apiErr.Error, "batch") {
-				t.Errorf("shed message %q does not name the batch limit", apiErr.Error)
-			}
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("batch shed without Retry-After")
-			}
-			// The same occupancy still admits interactive work.
-			id3, code3, _ := asyncSubmit(t, hs.URL, slowJob(8))
-			if code3 != http.StatusAccepted {
-				t.Errorf("interactive submission at batch-shed occupancy got %d, want 202", code3)
-			} else {
-				waitDone(t, c, id3)
-			}
-		case http.StatusAccepted:
-			t.Logf("attempt %d: queue drained early, retrying", attempt/2)
-			json.NewDecoder(resp.Body).Decode(&struct{}{})
-		default:
-			t.Fatalf("batch submission got %d, want 429 or 202", resp.StatusCode)
-		}
-		waitDone(t, c, id1)
-		waitDone(t, c, id2)
-	}
-	if !observed {
-		t.Fatal("never observed a batch shed at half occupancy")
-	}
-}
-
+// A body carrying "priority" is refused like any other unknown field: the
+// request schema has no admission classes.
 func TestUnknownPriorityRejected(t *testing.T) {
 	_, hs, _ := newServer(t, service.Options{Workers: 1})
-	req := quickJob()
-	req.Priority = "urgent"
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	body := `{"app":"streamcluster","config":"msaomu2","tiles":4,"priority":"batch"}`
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown priority got %d, want 400", resp.StatusCode)
+		t.Fatalf("priority field got %d, want 400", resp.StatusCode)
 	}
-}
-
-// /healthz must publish the backpressure hints a load balancer steers by.
-func TestHealthExposesBackpressureHints(t *testing.T) {
-	_, _, c := newServer(t, service.Options{Workers: 1, QueueLimit: 8})
-	h, err := c.Health(context.Background())
-	if err != nil {
+	var ae struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
 		t.Fatal(err)
 	}
-	if h.BatchLimit != 4 {
-		t.Errorf("batch_limit = %d, want 4 (half of 8)", h.BatchLimit)
-	}
-	if h.RetryAfterS < 1 || h.RetryAfterS > 30 {
-		t.Errorf("retry_after_s = %d, want within [1, 30]", h.RetryAfterS)
+	if !strings.Contains(ae.Error, `"priority"`) {
+		t.Errorf("400 body %q does not name the priority field", ae.Error)
 	}
 }
