@@ -243,11 +243,11 @@ func (c *Core) adopt(t *Thread) {
 	t.core = c
 }
 
-// await blocks the kernel until the current thread issues its next request,
-// then dispatches it.
+// await runs the current thread until it issues its next request, then
+// dispatches it.
 func (c *Core) await() {
 	t := c.cur
-	req, ok := <-t.toKernel
+	req, ok := t.next()
 	if !ok {
 		c.cur = nil
 		t.finish()
@@ -264,7 +264,7 @@ func (c *Core) resume(t *Thread, v uint64) {
 		t.park(parkedResult, v)
 		return
 	}
-	t.toThread <- v
+	t.in = v
 	c.await()
 }
 
@@ -426,7 +426,7 @@ func (c *Core) resumeSyncResult(t *Thread, res isa.Result) {
 		t.park(parkedResult, uint64(res))
 		return
 	}
-	t.toThread <- uint64(res)
+	t.in = uint64(res)
 	c.await()
 }
 

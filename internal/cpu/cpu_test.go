@@ -278,3 +278,26 @@ func TestHWSyncFastPathLatency(t *testing.T) {
 		t.Fatalf("silent lock took %d cycles, want <= issue latency", silentLat)
 	}
 }
+
+// TestThreadSwitchAllocFree: one Compute(1) round trip — the kernel resumes
+// the thread and the thread yields its next request — allocates nothing.
+// Thread start-up allocations amortise to zero over b.N switches.
+func TestThreadSwitchAllocFree(t *testing.T) {
+	r := testing.Benchmark(func(b *testing.B) {
+		m := newMachine(1, cpu.ModeMSA)
+		m.SpawnAll(1, func(_ int, e cpu.Env) {
+			for i := 0; i < b.N; i++ {
+				e.Compute(1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := m.Run(sim.Time(1) << 40); err != nil {
+			b.Fatal(err)
+		}
+	})
+	t.Logf("thread switch: %s %s", r, r.MemString())
+	if a := r.AllocsPerOp(); a != 0 {
+		t.Fatalf("thread switch allocates %d times per op, want 0", a)
+	}
+}

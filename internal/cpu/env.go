@@ -1,11 +1,12 @@
 // Package cpu models the cores and the simulated threads that run on them.
 //
-// A simulated thread is a Go goroutine that issues timed operations —
-// Compute, loads/stores/atomics, and the MiSAR synchronization instructions —
-// through the Env interface. The event kernel and the thread goroutines hand
-// control back and forth synchronously (exactly one runs at a time), so the
-// simulation stays deterministic while workload and synchronization-library
-// code reads as ordinary sequential Go.
+// A simulated thread is a coroutine (iter.Pull) that issues timed
+// operations — Compute, loads/stores/atomics, and the MiSAR synchronization
+// instructions — through the Env interface. Each operation yields to the
+// event kernel, which resumes the thread with the result once it commits;
+// exactly one of them runs at a time, so the simulation stays deterministic
+// while workload and synchronization-library code reads as ordinary
+// sequential Go.
 //
 // Each core runs one thread at a time (the paper's configuration). The
 // scheduler shim supports suspending a thread, resuming it on the same or a
@@ -91,11 +92,12 @@ type threadReq struct {
 	lock   memory.Addr
 }
 
-// threadKilled is panicked inside a thread goroutine to unwind it when the
+// threadKilled is panicked inside a thread's body to unwind it when the
 // machine is torn down mid-run.
 type threadKilled struct{}
 
-// env implements Env for one thread.
+// env implements Env for one thread. It stays one pointer wide so that
+// converting it to Env does not allocate.
 type env struct{ t *Thread }
 
 func (e env) ThreadID() int { return e.t.id }
@@ -110,14 +112,13 @@ func (e env) Faults() *fault.Injector { return e.t.core.injector }
 
 func (e env) Flight() *obs.FlightRecorder { return e.t.core.flight }
 
-// call sends a request to the kernel and blocks until its result arrives.
+// call yields a request to the kernel and returns its result once the
+// kernel resumes the thread; yield reports false when Kill stopped it.
 func (e env) call(r threadReq) uint64 {
-	e.t.toKernel <- r
-	v, ok := <-e.t.toThread
-	if !ok {
+	if !e.t.yield(r) {
 		panic(threadKilled{})
 	}
-	return v
+	return e.t.in
 }
 
 func (e env) Compute(cycles uint64) {

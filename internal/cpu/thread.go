@@ -1,7 +1,13 @@
+//go:build go1.23
+
+// The build constraint lifts this file's language version to the one that
+// added iter.Pull; the module's go line stays at 1.22 for its dependants.
+
 package cpu
 
 import (
 	"fmt"
+	"iter"
 
 	"misar/internal/sim"
 )
@@ -14,15 +20,22 @@ const (
 	parkedReissue
 )
 
-// Thread is one simulated software thread: a goroutine exchanging requests
-// and results with the event kernel through a synchronous handoff.
+// Thread is one simulated software thread: a coroutine (iter.Pull) whose
+// body yields each request to the event kernel and reads the result from in
+// when the kernel resumes it. Switching to and from it bypasses the Go
+// scheduler, and only one of the kernel and the thread runs at a time.
 type Thread struct {
 	id   int
 	core *Core
 	body func(Env)
 
-	toThread chan uint64
-	toKernel chan threadReq
+	// next runs the body up to its next request (ok false once it has
+	// returned); stop unwinds a body that has not. Both are nil until the
+	// thread's start event fires. yield is the body's side of next.
+	next  func() (threadReq, bool)
+	stop  func()
+	yield func(threadReq) bool
+	in    uint64 // result of the request the body last yielded
 
 	started bool
 	done    bool
@@ -82,19 +95,14 @@ func (x *Complex) Running() int { return x.running }
 
 // Spawn creates (but does not start) a thread.
 func (x *Complex) Spawn(id int, body func(Env)) *Thread {
-	t := &Thread{
-		id:       id,
-		body:     body,
-		toThread: make(chan uint64),
-		toKernel: make(chan threadReq),
-	}
+	t := &Thread{id: id, body: body}
 	x.threads = append(x.threads, t)
 	return t
 }
 
 // Start launches the thread on a core at simulated time `at`. The thread's
-// body runs as a goroutine; the kernel blocks whenever the thread is
-// executing Go code, preserving determinism.
+// body runs as a coroutine of the kernel: the kernel waits in next while
+// the body executes Go code, preserving determinism.
 func (x *Complex) Start(t *Thread, core int, at sim.Time) {
 	if t.started {
 		panic(fmt.Sprintf("cpu: thread %d started twice", t.id))
@@ -105,22 +113,26 @@ func (x *Complex) Start(t *Thread, core int, at sim.Time) {
 		c := x.cores[core]
 		c.adopt(t)
 		t.onDone = func() { x.running-- }
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(threadKilled); !ok {
-						t.err = r
-					}
-				}
-				close(t.toKernel)
-			}()
-			t.body(env{t})
-		}()
+		t.next, t.stop = iter.Pull(t.run)
 		c.await()
 	}, nil, core)
 }
 
-// finish is called by the core when the thread's request channel closes.
+// run is the thread's coroutine body. A panic in the workload is kept in
+// err rather than crossing into the kernel; threadKilled is Kill's unwind.
+func (t *Thread) run(yield func(threadReq) bool) {
+	t.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(threadKilled); !ok {
+				t.err = r
+			}
+		}
+	}()
+	t.body(env{t})
+}
+
+// finish is called by the core when the thread's body has returned.
 func (t *Thread) finish() {
 	t.done = true
 	if t.onDone != nil {
@@ -186,11 +198,12 @@ func (x *Complex) Resume(t *Thread, core int) {
 	}
 }
 
-// Kill tears down all unfinished threads (used when a run is abandoned).
+// Kill tears down all unfinished threads (used when a run is abandoned):
+// each body unwinds before Kill returns. Calling it again is a no-op.
 func (x *Complex) Kill() {
 	for _, t := range x.threads {
-		if t.started && !t.done {
-			close(t.toThread)
+		if t.stop != nil && !t.done {
+			t.stop()
 		}
 	}
 }

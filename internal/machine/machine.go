@@ -273,13 +273,6 @@ func (m *Machine) RunningThreads() int {
 	return n
 }
 
-// killThreads tears down unfinished threads on every shard.
-func (m *Machine) killThreads() {
-	for _, x := range m.Complexes {
-		x.Kill()
-	}
-}
-
 // FlightEvents merges the per-shard flight-recorder rings into one
 // timestamp-ordered dump (stable by shard at equal cycles). On a serial
 // machine it is exactly the one ring's Events().
@@ -546,26 +539,33 @@ const cancelCheckEvery = 1 << 16
 const shardCancelCheckWindows = 1 << 12
 
 // RunCtx is Run with caller cancellation. When ctx ends before the
-// simulation finishes, the threads are torn down (their goroutines unwind,
-// nothing leaks) and the error is a *CancelError wrapping the context's
-// cause. A context that can never be cancelled (ctx.Done() == nil) costs
-// nothing: the run takes the unpolled RunUntil path.
+// simulation finishes, the error is a *CancelError wrapping the context's
+// cause. On every error return the unfinished threads are torn down (their
+// bodies unwind, nothing leaks). A context that can never be cancelled
+// (ctx.Done() == nil) costs nothing: the run takes the unpolled RunUntil
+// path.
 func (m *Machine) RunCtx(ctx context.Context, deadline sim.Time) (_ sim.Time, err error) {
 	defer m.collectMetrics()
 	defer func() {
 		if r := recover(); r != nil {
 			// A component (slice, directory, network) panicked mid-event.
-			// Thread bodies are recovered inside their own goroutines, so
-			// this is a model bug, not a workload bug. Tear the threads down
-			// so their goroutines unwind instead of leaking, then surface
-			// the panic as a structured error the harness can tag. On the
-			// sharded kernel the panic arrives pre-wrapped as *ShardPanic
-			// with the faulting shard's own stack.
-			m.killThreads()
+			// Thread bodies are recovered inside their own coroutines, so
+			// this is a model bug, not a workload bug: surface it as a
+			// structured error the harness can tag. On the sharded kernel
+			// the panic arrives pre-wrapped as *ShardPanic with the faulting
+			// shard's own stack.
 			if sp, ok := r.(*sim.ShardPanic); ok {
 				err = &PanicError{Value: sp.Value, Stack: sp.Stack, Flight: m.FlightEvents()}
 			} else {
 				err = &PanicError{Value: r, Stack: string(debug.Stack()), Flight: m.FlightEvents()}
+			}
+		}
+		// A failed run is abandoned: unwind every unfinished thread, after
+		// the error has taken its diagnosis and flight dump, so none of
+		// them outlives the run.
+		if err != nil {
+			for _, x := range m.Complexes {
+				x.Kill()
 			}
 		}
 	}()
@@ -582,7 +582,6 @@ func (m *Machine) RunCtx(ctx context.Context, deadline sim.Time) (_ sim.Time, er
 		var interrupted bool
 		drained, interrupted = m.Group.RunUntilCheck(deadline, shardCancelCheckWindows, interrupt)
 		if interrupted {
-			m.killThreads()
 			return m.Now(), &CancelError{Cause: context.Cause(ctx), At: m.Now()}
 		}
 	case ctx.Done() == nil:
@@ -595,7 +594,6 @@ func (m *Machine) RunCtx(ctx context.Context, deadline sim.Time) (_ sim.Time, er
 		drained, interrupted = m.Engine.RunUntilCheck(deadline, cancelCheckEvery,
 			func() bool { return ctx.Err() != nil })
 		if interrupted {
-			m.killThreads()
 			return m.Now(), &CancelError{Cause: context.Cause(ctx), At: m.Now()}
 		}
 	}

@@ -177,9 +177,9 @@ func TestShardedCancelMidRun(t *testing.T) {
 	if ce.At < 5_000 {
 		t.Errorf("cancelled at cycle %d, before the cancel event", ce.At)
 	}
-	// Thread teardown is asynchronous (Kill closes the handoff channels and
-	// the bodies unwind on their own goroutines): leak-freedom, not a
-	// counter, is the post-condition.
+	// Kill unwinds every thread body before RunCtx returns; the shard
+	// workers exit on their own, so leak-freedom, not a counter, is the
+	// post-condition.
 	waitGoroutines(t, before)
 }
 

@@ -389,8 +389,8 @@ func (e *SafetyError) Error() string {
 
 // PanicError is returned by Run when a machine component (slice, directory,
 // network — not a thread body, which is recovered separately) panicked
-// mid-event. The simulated threads are torn down so their goroutines do not
-// leak; the machine must be discarded.
+// mid-event. As on every error return of Run, the simulated threads are torn
+// down so they do not leak; the machine must be discarded.
 type PanicError struct {
 	Value any
 	Stack string
