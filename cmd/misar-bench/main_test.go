@@ -61,3 +61,34 @@ func TestRegressionsZeroAllocClaim(t *testing.T) {
 		t.Fatalf("identical reports must pass: %v", bad)
 	}
 }
+
+// The flight-overhead gate compares medians of repeated runs: one outlier
+// run (here a cold first Bare run) must not decide it either way.
+func TestMedianResult(t *testing.T) {
+	out := `
+BenchmarkEngineChurnBare-2     	 2000000	       197.3 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnBare-2     	 2000000	       115.3 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnBare-2     	 2000000	       109.4 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnBare-2     	 2000000	       111.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnBare-2     	 2000000	       112.0 ns/op	       8 B/op	       1 allocs/op
+BenchmarkEngineChurnFlight-2   	 2000000	       108.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnFlight-2   	 2000000	       116.3 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnFlight-2   	 2000000	       114.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineChurnFlight-2   	 2000000	       160.0 ns/op	       0 B/op	       0 allocs/op
+`
+	rs := parse(out)
+	bare, bareNs, ok := medianResult(rs, "EngineChurnBare")
+	if !ok || bare.NsPerOp != 112.0 || len(bareNs) != 5 || bareNs[0] != 197.3 {
+		t.Fatalf("bare median %+v, samples %v", bare, bareNs)
+	}
+	if bare.AllocsPerOp != 1 || bare.BytesPerOp != 8 {
+		t.Fatalf("an allocation in any run must survive the fold: %+v", bare)
+	}
+	flight, flightNs, ok := medianResult(rs, "EngineChurnFlight")
+	if !ok || flight.NsPerOp != 115.15 || len(flightNs) != 4 {
+		t.Fatalf("flight median %+v (even count averages the middle two), samples %v", flight, flightNs)
+	}
+	if _, _, ok := medianResult(rs, "Missing"); ok {
+		t.Fatal("medianResult found a benchmark that never ran")
+	}
+}

@@ -5,16 +5,26 @@
 // seq), every part of which is known where the event is posted. The sharded
 // kernel (ShardGroup) therefore reproduces the serial order exactly.
 //
+// The queue is a timing wheel in front of a heap. Almost every model delay
+// is a small constant (a router or link hop, an L1 or directory access), so
+// an event due within the next wheelSlots cycles is linked into the wheel
+// slot for its cycle, kept sorted by (posted, origin, seq); a one-word
+// occupancy bitmap finds the next non-empty slot. Events further out go to
+// a hand-rolled intrusive 4-ary min-heap. The next event is whichever of the
+// first slot's head and the heap root comes first under the canonical key,
+// so a far event and a near one due in the same cycle still fire in order.
+//
 // The kernel is allocation-free in steady state: events live in a free-list
-// pool owned by the engine and are recycled on fire and on cancel, the
-// priority queue is a hand-rolled intrusive 4-ary min-heap specialized to
-// the event key (no container/heap, no `any` boxing per operation),
-// and the AtCall/AfterCall entry points let hot schedulers pass a
-// (handler, arg) pair — a package-level function plus a pooled argument —
-// instead of capturing state in a fresh closure per event.
+// pool owned by the engine and are recycled on fire and on cancel, wheel
+// slots are intrusive lists, and the AtCall/AfterCall entry points let hot
+// schedulers pass a (handler, arg) pair — a package-level function plus a
+// pooled argument — instead of capturing state in a fresh closure per event.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is the simulated clock in cycles.
 type Time uint64
@@ -28,19 +38,40 @@ type Handler func(arg any)
 // (handler, arg) representation: the closure itself is the argument.
 func closureHandler(arg any) { arg.(func())() }
 
-// event is the pooled, heap-intrusive representation of one scheduled
-// callback. Events are owned by the engine: they are recycled through a
-// free list on fire and on cancel, and their callback state (h, arg) is
-// cleared at release so a long-dead timer never pins captured state.
+// The timing wheel spans wheelSlots cycles: an event due less than that far
+// ahead of now sits in slot when&wheelMask, anything later in the heap.
+// Because every queued event is due at or after now, a slot only ever holds
+// events of one `when`. 64 slots make the occupancy bitmap one word and take
+// about 98% of the model's schedules.
+const (
+	wheelSlots = 64
+	wheelMask  = wheelSlots - 1
+)
+
+// Values of event.pos other than a heap index.
+const (
+	notQueued = -1 // fired, cancelled or free
+	inWheel   = -2 // linked into a wheel slot
+)
+
+// event is the pooled, intrusive representation of one scheduled callback.
+// Events are owned by the engine: they are recycled through a free list on
+// fire and on cancel, and their callback state (h, arg) is cleared at
+// release so a long-dead timer never pins captured state.
 type event struct {
-	when Time
-	key  uint64 // posted<<16 | origin
-	seq  uint64
-	h    Handler
-	arg  any
-	pos  int32  // index in Engine.heap; -1 when not queued
-	gen  uint64 // incremented on every release; guards stale handles
+	when       Time
+	key        uint64 // posted<<16 | origin
+	seq        uint64
+	h          Handler
+	arg        any
+	prev, next *event // wheel slot links; nil outside the wheel
+	pos        int32  // index in Engine.heap, inWheel, or notQueued
+	gen        uint64 // incremented on every release; guards stale handles
 }
+
+// slot is one wheel slot: the events due in one cycle, as a doubly-linked
+// list sorted by (key, seq).
+type slot struct{ head, tail *event }
 
 // Event is a cancellable handle to a scheduled event. It is a value type:
 // the underlying pooled storage is recycled once the event fires or is
@@ -60,7 +91,7 @@ func (h Event) When() Time { return h.when }
 // Pending reports whether the event is still queued: it has not fired and
 // has not been cancelled.
 func (h Event) Pending() bool {
-	return h.p != nil && h.p.gen == h.gen && h.p.pos >= 0
+	return h.p != nil && h.p.gen == h.gen && h.p.pos != notQueued
 }
 
 // Cancel removes a pending event from the queue; it will not fire, does not
@@ -69,7 +100,7 @@ func (h Event) Pending() bool {
 // not pin whatever state its closure captured. Cancelling an already-fired
 // or already-cancelled event is a no-op.
 func (h Event) Cancel() {
-	if h.p == nil || h.p.gen != h.gen || h.p.pos < 0 {
+	if h.p == nil || h.p.gen != h.gen || h.p.pos == notQueued {
 		return
 	}
 	h.eng.remove(h.p)
@@ -79,9 +110,12 @@ func (h Event) Cancel() {
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*event // intrusive 4-ary min-heap ordered by (when, key, seq)
-	free    []*event // recycled events
-	alloced uint64   // pool high-water mark: events ever allocated
+	wheel   [wheelSlots]slot // events due in [now, now+wheelSlots)
+	occ     uint64           // bit i set iff wheel[i] is non-empty
+	nwheel  int              // events in the wheel
+	heap    []*event         // later events: intrusive 4-ary min-heap by (when, key, seq)
+	free    []*event         // recycled events
+	alloced uint64           // pool high-water mark: events ever allocated
 	stopped bool
 	fired   uint64
 }
@@ -99,7 +133,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of queued events. Cancelled events leave the
 // queue immediately and are not counted.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.nwheel + len(e.heap) }
 
 // PoolAllocated returns how many event structs the engine has ever
 // allocated — the pool's high-water mark. In steady state (schedule, fire,
@@ -116,14 +150,14 @@ func (e *Engine) get() *event {
 		return ev
 	}
 	e.alloced++
-	return &event{pos: -1}
+	return &event{pos: notQueued}
 }
 
 // release clears an event's callback state and returns it to the free list.
 // The generation bump invalidates every outstanding handle to it.
 func (e *Engine) release(ev *event) {
 	ev.h, ev.arg = nil, nil
-	ev.pos = -1
+	ev.pos = notQueued
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -205,8 +239,8 @@ func (e *Engine) push(ev *event) {
 	e.siftUp(len(e.heap) - 1)
 }
 
-// popMin removes and returns the earliest event. The caller must release it.
-func (e *Engine) popMin() *event {
+// popMin removes the heap root. The caller must release it.
+func (e *Engine) popMin() {
 	q := e.heap
 	min := q[0]
 	n := len(q) - 1
@@ -219,12 +253,11 @@ func (e *Engine) popMin() *event {
 	if n > 1 {
 		e.siftDown(0)
 	}
-	min.pos = -1
-	return min
+	min.pos = notQueued
 }
 
-// remove deletes an interior event from the heap and recycles it.
-func (e *Engine) remove(ev *event) {
+// removeHeap deletes an interior event from the heap.
+func (e *Engine) removeHeap(ev *event) {
 	q := e.heap
 	i := int(ev.pos)
 	n := len(q) - 1
@@ -238,8 +271,101 @@ func (e *Engine) remove(ev *event) {
 		e.siftDown(i)
 		e.siftUp(int(q[i].pos))
 	}
-	ev.pos = -1
+	ev.pos = notQueued
+}
+
+// link inserts ev into the wheel slot for its cycle. The slot's events all
+// share ev.when, so the walk back from the tail compares (key, seq) only;
+// local posts almost always append, while cross-shard mail, which carries
+// an older posted cycle, can land mid-slot.
+func (e *Engine) link(ev *event) {
+	i := ev.when & wheelMask
+	s := &e.wheel[i]
+	p := s.tail
+	for p != nil && less(ev, p) {
+		p = p.prev
+	}
+	ev.prev = p
+	if p == nil {
+		ev.next, s.head = s.head, ev
+	} else {
+		ev.next, p.next = p.next, ev
+	}
+	if ev.next == nil {
+		s.tail = ev
+	} else {
+		ev.next.prev = ev
+	}
+	ev.pos = inWheel
+	e.occ |= 1 << i
+	e.nwheel++
+}
+
+// unlink removes ev from its wheel slot in O(1).
+func (e *Engine) unlink(ev *event) {
+	i := ev.when & wheelMask
+	s := &e.wheel[i]
+	if ev.prev == nil {
+		s.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if ev.next == nil {
+		s.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	if s.head == nil {
+		e.occ &^= 1 << i
+	}
+	ev.prev, ev.next = nil, nil
+	ev.pos = notQueued
+	e.nwheel--
+}
+
+// remove takes a queued event out of the wheel or the heap and recycles it.
+func (e *Engine) remove(ev *event) {
+	if ev.pos == inWheel {
+		e.unlink(ev)
+	} else {
+		e.removeHeap(ev)
+	}
 	e.release(ev)
+}
+
+// peek returns the earliest queued event, or nil. The wheel's earliest
+// event heads the first occupied slot at or after now (the bitmap rotated
+// so that now's slot is bit 0); a heap event due in the same cycle — posted
+// while that cycle was still beyond the wheel — is ordered against it by
+// the full key.
+func (e *Engine) peek() *event {
+	var w *event
+	if e.occ != 0 {
+		off := bits.TrailingZeros64(bits.RotateLeft64(e.occ, -int(e.now&wheelMask)))
+		w = e.wheel[(e.now+Time(off))&wheelMask].head
+	}
+	if len(e.heap) > 0 && (w == nil || less(e.heap[0], w)) {
+		return e.heap[0]
+	}
+	return w
+}
+
+// fire dequeues ev, the event peek returned, advances the clock to it and
+// runs it.
+func (e *Engine) fire(ev *event) {
+	if ev.pos == inWheel {
+		e.unlink(ev)
+	} else {
+		e.popMin()
+	}
+	e.now = ev.when
+	e.fired++
+	// Extract the callback and recycle the event before invoking it: the
+	// handler may immediately schedule new work into the freed slot, and
+	// clearing h/arg here guarantees fired events never pin captured state.
+	h, arg := ev.h, ev.arg
+	e.release(ev)
+	h(arg)
 }
 
 // schedule is the common entry point for all scheduling calls and for
@@ -255,7 +381,11 @@ func (e *Engine) schedule(t, posted Time, h Handler, arg any, from []int) Event 
 	ev := e.get()
 	ev.when, ev.key, ev.seq, ev.h, ev.arg = t, uint64(posted)<<16|origin, e.seq, h, arg
 	e.seq++
-	e.push(ev)
+	if t-e.now < wheelSlots {
+		e.link(ev)
+	} else {
+		e.push(ev)
+	}
 	return Event{eng: e, p: ev, gen: ev.gen, when: t}
 }
 
@@ -304,18 +434,14 @@ func (e *Engine) Resume() { e.stopped = false }
 // Step executes the single earliest pending event. It reports false when the
 // queue is empty (simulation quiesced) or the engine was stopped.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.heap) == 0 {
+	if e.stopped {
 		return false
 	}
-	ev := e.popMin()
-	e.now = ev.when
-	e.fired++
-	// Extract the callback and recycle the event before invoking it: the
-	// handler may immediately schedule new work into the freed slot, and
-	// clearing h/arg here guarantees fired events never pin captured state.
-	h, arg := ev.h, ev.arg
-	e.release(ev)
-	h(arg)
+	ev := e.peek()
+	if ev == nil {
+		return false
+	}
+	e.fire(ev)
 	return true
 }
 
@@ -332,15 +458,17 @@ func (e *Engine) Run() Time {
 // (false). Reaching the deadline with pending events usually indicates a
 // deadlock or runaway workload in tests.
 func (e *Engine) RunUntil(deadline Time) bool {
-	for {
-		if e.stopped || len(e.heap) == 0 {
-			return len(e.heap) == 0
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil {
+			return true
 		}
-		if e.heap[0].when > deadline {
+		if ev.when > deadline {
 			return false
 		}
-		e.Step()
+		e.fire(ev)
 	}
+	return e.Pending() == 0
 }
 
 // RunUntilCheck is RunUntil with a periodic interrupt poll: after every
@@ -355,14 +483,15 @@ func (e *Engine) RunUntilCheck(deadline Time, every uint64, interrupt func() boo
 		every = 1
 	}
 	var n uint64
-	for {
-		if e.stopped || len(e.heap) == 0 {
-			return len(e.heap) == 0, false
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil {
+			return true, false
 		}
-		if e.heap[0].when > deadline {
+		if ev.when > deadline {
 			return false, false
 		}
-		e.Step()
+		e.fire(ev)
 		if n++; n >= every {
 			n = 0
 			if interrupt() {
@@ -370,4 +499,5 @@ func (e *Engine) RunUntilCheck(deadline Time, every uint64, interrupt func() boo
 			}
 		}
 	}
+	return e.Pending() == 0, false
 }

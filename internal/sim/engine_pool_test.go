@@ -85,12 +85,13 @@ func TestStaleHandleAfterCancelRecycle(t *testing.T) {
 }
 
 // refEvent / refModel: a naive sorted-slice reference implementation of the
-// kernel's contract, used as the oracle for fuzzing the intrusive heap.
+// kernel's contract, used as the oracle for fuzzing the wheel and heap.
 type refEvent struct {
-	when      Time
-	seq       uint64
-	id        int
-	cancelled bool
+	when, posted Time
+	origin       int
+	seq          uint64
+	id           int
+	cancelled    bool
 }
 
 type refModel struct {
@@ -99,14 +100,15 @@ type refModel struct {
 	events []*refEvent
 }
 
-func (m *refModel) at(t Time, id int) *refEvent {
-	ev := &refEvent{when: t, seq: m.seq, id: id}
+func (m *refModel) at(t Time, origin, id int) *refEvent {
+	ev := &refEvent{when: t, posted: m.now, origin: origin, seq: m.seq, id: id}
 	m.seq++
 	m.events = append(m.events, ev)
 	return ev
 }
 
-// step fires the earliest live event, returning its id, or -1 if none.
+// step fires the earliest live event in (when, posted, origin, seq) order,
+// returning its id, or -1 if none.
 func (m *refModel) step() int {
 	live := m.events[:0]
 	for _, ev := range m.events {
@@ -118,11 +120,18 @@ func (m *refModel) step() int {
 	if len(m.events) == 0 {
 		return -1
 	}
-	sort.SliceStable(m.events, func(i, j int) bool {
-		if m.events[i].when != m.events[j].when {
-			return m.events[i].when < m.events[j].when
+	sort.Slice(m.events, func(i, j int) bool {
+		a, b := m.events[i], m.events[j]
+		if a.when != b.when {
+			return a.when < b.when
 		}
-		return m.events[i].seq < m.events[j].seq
+		if a.posted != b.posted {
+			return a.posted < b.posted
+		}
+		if a.origin != b.origin {
+			return a.origin < b.origin
+		}
+		return a.seq < b.seq
 	})
 	ev := m.events[0]
 	m.events = m.events[1:]
@@ -130,9 +139,26 @@ func (m *refModel) step() int {
 	return ev.id
 }
 
-// Fuzz the heap against the reference model under interleaved At / Cancel /
-// Step, checking identical firing order, identical clocks, and the heap
-// invariant throughout.
+// fuzzDelay draws a scheduling delay that straddles the wheel horizon: most
+// land in the wheel, the rest exactly at its edge, a few wheel spans out,
+// or far beyond it.
+func fuzzDelay(rng *rand.Rand) Time {
+	switch r := rng.Intn(10); {
+	case r < 5:
+		return Time(rng.Intn(wheelSlots))
+	case r < 7:
+		return wheelSlots - 1 + Time(rng.Intn(3)) // 63, 64, 65
+	case r < 9:
+		return 4*wheelSlots - 8 + Time(rng.Intn(16))
+	default:
+		return 1000 + Time(rng.Intn(5000))
+	}
+}
+
+// Fuzz the queue against the reference model under interleaved AtCall /
+// Cancel / Step, with delays on both sides of the wheel horizon and origins
+// that make same-cycle posts land mid-slot, checking identical firing
+// order, identical clocks, and the queue invariant throughout.
 func TestHeapFuzzAgainstReferenceModel(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -141,16 +167,21 @@ func TestHeapFuzzAgainstReferenceModel(t *testing.T) {
 		var liveHandles []Event
 		var liveRef []*refEvent
 		var fired []int
+		rec := func(arg any) { fired = append(fired, arg.(int)) }
 		nextID := 0
+		far := 0
 
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Intn(10); {
 			case r < 5: // schedule
-				t0 := e.Now() + Time(rng.Intn(50))
-				id := nextID
+				d := fuzzDelay(rng)
+				if d >= wheelSlots {
+					far++
+				}
+				origin, id := rng.Intn(4), nextID
 				nextID++
-				liveHandles = append(liveHandles, e.At(t0, func() { fired = append(fired, id) }))
-				liveRef = append(liveRef, ref.at(t0, id))
+				liveHandles = append(liveHandles, e.AtCall(e.Now()+d, rec, id, origin))
+				liveRef = append(liveRef, ref.at(e.Now()+d, origin, id))
 			case r < 7: // cancel a random outstanding event (possibly stale)
 				if len(liveHandles) > 0 {
 					i := rng.Intn(len(liveHandles))
@@ -175,18 +206,57 @@ func TestHeapFuzzAgainstReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: clock %d, reference %d", seed, op, e.Now(), ref.now)
 				}
 			}
-			checkHeapInvariant(t, e)
+			checkQueueInvariant(t, e)
+		}
+		if far < 200 {
+			t.Fatalf("seed %d: only %d schedules beyond the wheel", seed, far)
 		}
 	}
 }
 
-// checkHeapInvariant verifies the 4-ary heap ordering and the intrusive
-// position indices.
-func checkHeapInvariant(t *testing.T, e *Engine) {
+// checkQueueInvariant verifies both halves of the queue: every wheel slot is
+// a well-linked list of events of one `when` inside [now, now+wheelSlots),
+// sorted by the canonical key, with its occupancy bit set exactly when it is
+// non-empty; the far heap keeps the 4-ary ordering and its intrusive
+// positions; and Pending counts both.
+func checkQueueInvariant(t *testing.T, e *Engine) {
 	t.Helper()
+	inWheelCount := 0
+	for i := range e.wheel {
+		s := &e.wheel[i]
+		if got, want := e.occ>>i&1 == 1, s.head != nil; got != want {
+			t.Fatalf("slot %d: occupancy bit %v, non-empty %v", i, got, want)
+		}
+		var prev *event
+		for ev := s.head; ev != nil; prev, ev = ev, ev.next {
+			inWheelCount++
+			if ev.prev != prev {
+				t.Fatalf("slot %d: broken back-link at seq %d", i, ev.seq)
+			}
+			if ev.pos != inWheel {
+				t.Fatalf("slot %d: event seq %d has pos %d", i, ev.seq, ev.pos)
+			}
+			if int(ev.when&wheelMask) != i || ev.when < e.now || ev.when >= e.now+wheelSlots {
+				t.Fatalf("slot %d holds when %d at now %d", i, ev.when, e.now)
+			}
+			if prev != nil && (ev.when != prev.when || !less(prev, ev)) {
+				t.Fatalf("slot %d out of order: (%d,%#x,%d) after (%d,%#x,%d)",
+					i, ev.when, ev.key, ev.seq, prev.when, prev.key, prev.seq)
+			}
+		}
+		if s.tail != prev {
+			t.Fatalf("slot %d: tail is not the last event", i)
+		}
+	}
+	if inWheelCount != e.nwheel {
+		t.Fatalf("wheel holds %d events, nwheel = %d", inWheelCount, e.nwheel)
+	}
 	for i, ev := range e.heap {
 		if int(ev.pos) != i {
 			t.Fatalf("heap[%d].pos = %d", i, ev.pos)
+		}
+		if ev.prev != nil || ev.next != nil || ev.when < e.now {
+			t.Fatalf("heap[%d] (when %d, now %d) is linked or in the past", i, ev.when, e.now)
 		}
 		if i > 0 {
 			p := (i - 1) >> 2
@@ -195,6 +265,9 @@ func checkHeapInvariant(t *testing.T, e *Engine) {
 					i, ev.when, ev.seq, e.heap[p].when, e.heap[p].seq)
 			}
 		}
+	}
+	if got, want := e.Pending(), inWheelCount+len(e.heap); got != want {
+		t.Fatalf("Pending = %d, want %d wheel + %d heap", got, inWheelCount, len(e.heap))
 	}
 }
 
@@ -282,9 +355,32 @@ func TestEventWhenSurvivesRecycle(t *testing.T) {
 	}
 }
 
+// The kernel's steady state allocates nothing: once the pool and the heap
+// slice are warm, near and far schedules, a cancel of each, and firing are
+// all served from the free list.
+func TestEngineSteadyStateAllocFree(t *testing.T) {
+	e := NewEngine()
+	nop := func(any) {}
+	op := func() {
+		e.AfterCall(3, nop, nil, 1)
+		e.AfterCall(2*wheelSlots, nop, nil, 2)
+		near := e.AfterCall(5, nop, nil, 2)
+		far := e.AfterCall(10*wheelSlots, nop, nil, 1)
+		near.Cancel()
+		far.Cancel()
+		e.Step()
+		e.Step()
+	}
+	for i := 0; i < 4*wheelSlots; i++ {
+		op()
+	}
+	if a := testing.AllocsPerRun(1000, op); a != 0 {
+		t.Fatalf("steady-state schedule/cancel/fire allocates %v times per op, want 0", a)
+	}
+}
+
 // BenchmarkEngineChurn measures the kernel's steady-state schedule/fire/
-// cancel loop. The acceptance bar is 0 allocs/op: every event comes from
-// the pool, and neither the closure-free AtCall path nor Cancel allocates.
+// cancel loop; TestEngineSteadyStateAllocFree pins its 0 allocs/op.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
 	nop := func(any) {}
@@ -296,9 +392,9 @@ func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Two schedules, one cancel, two fires: exercises push, remove, and
-		// popMin against the free list every iteration, with origins as model
-		// components pass them.
+		// Two schedules, one cancel, two fires: exercises link, unlink and
+		// the wheel's peek against the free list every iteration, with
+		// origins as model components pass them.
 		e.AfterCall(3, nop, nil, 1)
 		dead := e.AfterCall(5, nop, nil, 2)
 		e.AfterCall(1, nop, nil, 1)

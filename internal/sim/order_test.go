@@ -8,7 +8,11 @@ import (
 
 // Same-cycle posts for different origins fire by origin tile, whatever
 // order they were posted in; posts from different cycles keep posting
-// order even when a later cycle's origin is lower.
+// order even when a later cycle's origin is lower. At cycle 100 the posts
+// from cycles 1 and 36 wait in the far heap (64 or more cycles ahead) and
+// those from cycles 37 and 50 in the wheel, so the same rule must hold
+// across the wheel horizon too — including for mail that reaches the wheel
+// carrying an older posted cycle than a heap event's.
 func TestEngineCanonicalTieOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -18,12 +22,23 @@ func TestEngineCanonicalTieOrder(t *testing.T) {
 		e.AtCall(10, rec, "c1/t3", 3)
 		e.AtCall(10, rec, "c1/t3b", 3)
 		e.AtCall(10, rec, "c1/machine")
+		e.AtCall(100, rec, "far/c1/t5", 5)
+		e.AtCall(100, rec, "far/c1/t2", 2)
 	}, nil, 9)
 	e.AtCall(2, func(any) {
 		e.AtCall(10, rec, "c2/t0", 0)
 	}, nil, 9)
+	e.AtCall(36, func(any) { e.AtCall(100, rec, "far/c36/t0", 0) }, nil, 9)
+	e.AtCall(37, func(any) { e.AtCall(100, rec, "near/c37/t6", 6) }, nil, 9)
+	e.AtCall(50, func(any) {
+		e.AtCall(100, rec, "near/c50/t8", 8)
+		e.AtCall(100, rec, "near/c50/t1", 1)
+		// Cross-shard mail posted in cycle 20, delivered now: it lands in
+		// the wheel ahead of cycle 36's heap event.
+		e.schedule(100, 20, rec, "mail/c20/t4", []int{4})
+	}, nil, 9)
 	e.Run()
-	want := "[c1/t3 c1/t3b c1/t7 c1/machine c2/t0]"
+	want := "[c1/t3 c1/t3b c1/t7 c1/machine c2/t0 far/c1/t2 far/c1/t5 mail/c20/t4 far/c36/t0 near/c37/t6 near/c50/t1 near/c50/t8]"
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("pop order %s, want %s", got, want)
 	}
@@ -33,26 +48,31 @@ func TestEngineCanonicalTieOrder(t *testing.T) {
 // was posted on behalf of tile `from`.
 type tieEvent struct {
 	to, from int
+	posted   Time
 	tag      uint64
 }
 
 // tieRecord is what a tile observes of one event it runs.
 type tieRecord struct {
-	when Time
-	from int
-	tag  uint64
+	when, posted Time
+	from         int
+	tag          uint64
 }
 
 // runTieProgram runs a random message-passing program over `tiles` tiles,
-// each owned by shard tile*k/tiles, on a plain Engine (k == 0) or a
-// ShardGroup of k shards. Every tile folds the events it runs into an
-// order-sensitive hash and derives its posts from that hash, so any
-// difference in the order a tile sees its events changes everything after
-// it. Remote posts use delays of exactly the lookahead or one more, which
-// makes same-cycle arrivals from different tiles (and shards) the common
-// case. It returns each tile's observed event sequence and the number of
-// same-cycle, different-origin ties the tiles saw.
-func runTieProgram(seed int64, tiles, k int) ([][]tieRecord, int) {
+// each owned by shard tile*k/tiles, on a ShardGroup of k shards, on a plain
+// Engine (k == 0), or on the reference model refModel (k < 0). Every tile folds the events it
+// runs into an order-sensitive hash and derives its posts from that hash, so
+// any difference in the order a tile sees its events changes everything
+// after it. Remote posts use delays of exactly the lookahead or one more,
+// which makes same-cycle arrivals from different tiles (and shards) the
+// common case. Three posts in four add about one wheel span, so the same
+// cycle is often reached by one tile's post through the wheel and another's
+// through the far heap. It returns each tile's observed event sequence, the
+// number of same-cycle, different-origin ties the tiles saw, and how many of
+// those ties paired a post made less than a wheel span ahead with one made
+// further ahead.
+func runTieProgram(seed int64, tiles, k int) ([][]tieRecord, int, int) {
 	const lookahead, budget = 3, 60
 	lanes := make([][]tieRecord, tiles)
 	hash := make([]uint64, tiles)
@@ -61,36 +81,48 @@ func runTieProgram(seed int64, tiles, k int) ([][]tieRecord, int) {
 		left[i] = budget
 	}
 	shards := k
-	if shards == 0 {
+	if shards < 1 {
 		shards = 1
 	}
 	shardOf := func(tile int) int { return tile * shards / tiles }
 	var serial *Engine
 	var group *ShardGroup
-	if k == 0 {
+	var ref *refModel
+	var refEvents []*tieEvent // by reference id
+	switch {
+	case k == 0:
 		serial = NewEngine()
-	} else {
+	case k > 0:
 		group = NewShardGroup(k, lookahead)
+	default:
+		ref = &refModel{}
 	}
-	engineOf := func(tile int) *Engine {
-		if serial != nil {
-			return serial
+	nowOf := func(tile int) Time {
+		switch {
+		case serial != nil:
+			return serial.Now()
+		case group != nil:
+			return group.Engine(shardOf(tile)).Now()
 		}
-		return group.Engine(shardOf(tile))
+		return ref.now
 	}
 	var fire Handler
 	post := func(from, to int, when Time, tag uint64) {
-		ev := &tieEvent{to: to, from: from, tag: tag}
-		if serial != nil {
+		ev := &tieEvent{to: to, from: from, posted: nowOf(from), tag: tag}
+		switch {
+		case serial != nil:
 			serial.AtCall(when, fire, ev, from)
-			return
+		case group != nil:
+			group.Post(shardOf(from), shardOf(to), when, fire, ev, from)
+		default:
+			ref.at(when, from, len(refEvents))
+			refEvents = append(refEvents, ev)
 		}
-		group.Post(shardOf(from), shardOf(to), when, fire, ev, from)
 	}
 	fire = func(arg any) {
 		ev := arg.(*tieEvent)
-		now := engineOf(ev.to).Now()
-		lanes[ev.to] = append(lanes[ev.to], tieRecord{now, ev.from, ev.tag})
+		now := nowOf(ev.to)
+		lanes[ev.to] = append(lanes[ev.to], tieRecord{now, ev.posted, ev.from, ev.tag})
 		h := hash[ev.to]*0x9e3779b97f4a7c15 + ev.tag + uint64(ev.from)<<32 + 1
 		hash[ev.to] = h
 		for i := 0; i < 1+int(h>>60)%2 && left[ev.to] > 0; i++ {
@@ -101,52 +133,70 @@ func runTieProgram(seed int64, tiles, k int) ([][]tieRecord, int) {
 			if to != ev.to {
 				d = lookahead + Time(h>>24)%2
 			}
+			if h>>56&3 != 0 {
+				d += wheelSlots - 4 + Time(h>>28)%4 // across the wheel horizon
+			}
 			post(ev.to, to, now+d, h>>40)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for tile := 0; tile < tiles; tile++ {
 		for j := 0; j < 2; j++ {
-			engineOf(tile).AtCall(Time(rng.Intn(3)), fire, &tieEvent{to: tile, from: tile, tag: rng.Uint64()}, tile)
+			post(tile, tile, Time(rng.Intn(3)), rng.Uint64())
 		}
 	}
-	if serial != nil {
+	switch {
+	case serial != nil:
 		serial.Run()
-	} else if drained, _ := group.RunUntilCheck(1<<40, 1, nil); !drained {
-		panic("tie program did not drain")
+	case group != nil:
+		if drained, _ := group.RunUntilCheck(1<<40, 1, nil); !drained {
+			panic("tie program did not drain")
+		}
+	default:
+		for id := ref.step(); id >= 0; id = ref.step() {
+			fire(refEvents[id])
+		}
 	}
-	ties := 0
+	ties, horizon := 0, 0
 	for _, lane := range lanes {
 		for i := 1; i < len(lane); i++ {
-			if lane[i].when == lane[i-1].when && lane[i].from != lane[i-1].from {
+			a, b := lane[i-1], lane[i]
+			if a.when == b.when && a.from != b.from {
 				ties++
-			}
-		}
-	}
-	return lanes, ties
-}
-
-// The kernel differential test: random programs full of same-cycle,
-// cross-shard ties must give every tile the identical (when, origin, tag)
-// event sequence on the serial Engine and on ShardGroups of 2 and 4 shards.
-func TestShardGroupMatchesSerialUnderTies(t *testing.T) {
-	const tiles = 8
-	ties := 0
-	for seed := int64(1); seed <= 12; seed++ {
-		want, n := runTieProgram(seed, tiles, 0)
-		ties += n
-		for _, k := range []int{2, 4} {
-			got, _ := runTieProgram(seed, tiles, k)
-			for tile := range want {
-				if fmt.Sprint(got[tile]) != fmt.Sprint(want[tile]) {
-					t.Fatalf("seed %d k=%d tile %d:\nsharded %v\nserial  %v", seed, k, tile, got[tile], want[tile])
+				if (a.when-a.posted < wheelSlots) != (b.when-b.posted < wheelSlots) {
+					horizon++
 				}
 			}
 		}
 	}
-	if ties < 1000 {
-		t.Fatalf("only %d same-cycle cross-origin ties over all seeds; the programs do not exercise the key", ties)
+	return lanes, ties, horizon
+}
+
+// The kernel differential test: random programs full of same-cycle,
+// cross-shard ties — many of them between a post that waited in the wheel
+// and one that waited in the far heap — must give every tile the identical
+// (when, posted, origin, tag) event sequence on the reference list, on the
+// serial Engine, and on ShardGroups of 2 and 4 shards.
+func TestShardGroupMatchesSerialUnderTies(t *testing.T) {
+	const tiles = 8
+	ties, horizon := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		want, n, h := runTieProgram(seed, tiles, -1)
+		ties += n
+		horizon += h
+		for _, k := range []int{0, 2, 4} {
+			got, _, _ := runTieProgram(seed, tiles, k)
+			for tile := range want {
+				if fmt.Sprint(got[tile]) != fmt.Sprint(want[tile]) {
+					t.Fatalf("seed %d k=%d tile %d:\nkernel    %v\nreference %v", seed, k, tile, got[tile], want[tile])
+				}
+			}
+		}
 	}
+	if ties < 1000 || horizon < 300 {
+		t.Fatalf("only %d same-cycle cross-origin ties (%d across the wheel horizon) over all seeds; the programs do not exercise the key", ties, horizon)
+	}
+	t.Logf("%d same-cycle cross-origin ties, %d across the wheel horizon", ties, horizon)
 }
 
 // tiePost is one scheduling call of a tie-free-property program.

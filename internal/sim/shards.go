@@ -274,10 +274,8 @@ func (g *ShardGroup) next() (Time, bool) {
 	var t Time
 	ok := false
 	for _, e := range g.engines {
-		if len(e.heap) > 0 {
-			if w := e.heap[0].when; !ok || w < t {
-				t, ok = w, true
-			}
+		if ev := e.peek(); ev != nil && (!ok || ev.when < t) {
+			t, ok = ev.when, true
 		}
 	}
 	for side := 0; side < 2; side++ {
